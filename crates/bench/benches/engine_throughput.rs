@@ -22,7 +22,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ec_bench::merge_baseline_json;
 use ec_collectives::schedule::ring_allreduce_schedule;
-use ec_netsim::{ClusterSpec, CompileOptions, CompiledProgram, CostModel, Engine, SchedulerKind};
+use ec_netsim::{ClusterSpec, CompileOptions, CompiledProgram, CostModel, Engine};
 
 /// Payload of the benchmark allreduce (8 MB, the paper's large-message size).
 const BYTES: u64 = 8_000_000;
@@ -63,7 +63,6 @@ fn write_baseline(
     pooled: f64,
     traced: f64,
     per_shard: &[(usize, f64)],
-    legacy: f64,
 ) {
     // Default to the workspace root (cargo runs benches with the package
     // directory as cwd) so the baseline lands next to the README.
@@ -86,10 +85,8 @@ fn write_baseline(
     for (k, v) in &shard_keys {
         updates.push((k.as_str(), v.clone()));
     }
-    updates.push(("legacy_heap_ops_per_sec", format!("{legacy:.0}")));
     updates.push(("pre_rewrite_ops_per_sec", format!("{PRE_REWRITE_OPS_PER_SEC:.0}")));
     updates.push(("speedup_vs_pre_rewrite", format!("{:.2}", ops_per_sec / PRE_REWRITE_OPS_PER_SEC)));
-    updates.push(("speedup_vs_legacy_heap", format!("{:.2}", ops_per_sec / legacy)));
     if let Err(e) = merge_baseline_json(&path, &updates) {
         eprintln!("warning: could not write {path}: {e}");
     }
@@ -127,8 +124,8 @@ fn bench_engine_throughput(c: &mut Criterion) {
             traced / 1e6,
             ops_per_sec / traced
         );
-        // Per-shard-count rows (worker threads over contiguous rank blocks)
-        // and the legacy binary-heap event loop, for the perf trajectory.
+        // Per-shard-count rows (worker threads over contiguous rank blocks),
+        // for the perf trajectory.
         let mut per_shard = Vec::new();
         for shards in [2usize, 4, 8] {
             let sharded = bench_engine(ranks).with_shards(shards);
@@ -136,10 +133,7 @@ fn bench_engine_throughput(c: &mut Criterion) {
             println!("engine_throughput[shards={shards}]: {:.3} M simulated ops/sec", ops / 1e6);
             per_shard.push((shards, ops));
         }
-        let legacy_engine = bench_engine(ranks).with_scheduler(SchedulerKind::BinaryHeap);
-        let (_, legacy) = measure_ops_per_sec(&legacy_engine, &prog, 2);
-        println!("engine_throughput[legacy heap]: {:.3} M simulated ops/sec", legacy / 1e6);
-        write_baseline(&prog, secs_per_run, ops_per_sec, pooled, traced, &per_shard, legacy);
+        write_baseline(&prog, secs_per_run, ops_per_sec, pooled, traced, &per_shard);
     }
 
     let mut group = c.benchmark_group("engine");

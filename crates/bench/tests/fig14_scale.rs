@@ -1,7 +1,8 @@
 //! Acceptance tests for the fig14 SSP-at-scale experiment: the simulated
 //! sweep must be deterministic (same seed, identical reports) at 512+
-//! workers, staleness must pay off under injected stragglers, and the
-//! notification-conservation invariant must hold.
+//! workers, staleness must pay off under injected stragglers, the
+//! notification-conservation invariant must hold, and the multi-writer
+//! hypercube must never take the dataflow path.
 
 use ec_bench::ssp_scale::{fig14_scenario, ssp_scale_program, SspScaleConfig};
 use ec_netsim::{ClusterSpec, CostModel, Engine, RunReport};
@@ -58,4 +59,21 @@ fn scenario_injects_the_configured_stragglers() {
     let slow = r.ranks.iter().filter(|s| s.compute_scale > 1.3).count();
     assert_eq!(slow, 10, "2% of 512 single-rank nodes are persistent stragglers");
     assert!(r.max_compute_scale() > 1.3 && r.max_compute_scale() < 1.7);
+}
+
+#[test]
+fn smoke_sweep_runs_entirely_on_the_strict_event_loop() {
+    // The `--smoke` sweep of the fig14 binary: 128 workers, slack 0..=8,
+    // 6 iterations, default payload, compute and seed.  Every destination
+    // hears from one partner per hypercube dimension, so no run may
+    // execute a single op on the (single-writer) dataflow path.
+    for slack in 0..=8 {
+        let mut cfg = SspScaleConfig::new(128, slack);
+        cfg.iterations = 6;
+        let engine = Engine::new(ClusterSpec::homogeneous(128, 1), CostModel::marenostrum4_opa())
+            .with_scenario(fig14_scenario(cfg.seed));
+        let r = engine.run(&ssp_scale_program(&cfg)).expect("fig14 smoke program must simulate");
+        assert_eq!(r.metrics.dataflow_burst_ops, 0, "slack {slack}");
+        assert!(r.metrics.events_scheduled > 0, "slack {slack}: the strict loop ran");
+    }
 }

@@ -107,6 +107,7 @@ use std::fmt;
 use crate::cluster::RankId;
 use crate::compiled::{decode_target, CompiledProgram, OpKind, TargetMode};
 use crate::program::{NotifyId, Program};
+use crate::semantics;
 use crate::source::ProgramSource;
 use crate::validate::ValidationError;
 
@@ -939,11 +940,14 @@ impl<'a> Analyzer<'a> {
                         }
                         OpKind::WaitOne | OpKind::WaitMany | OpKind::WaitAny => {
                             let count = self.wait_ids(idx, &mut wids);
-                            let satisfied = if kind == OpKind::WaitAny && count < wids.len() {
-                                self.try_consume_any(&self.pieces[pi], &mut state[pi], &wids, count, &class_min)
-                            } else {
-                                self.try_consume_all(&self.pieces[pi], &mut state[pi], &wids, &class_min)
-                            };
+                            let piece = &self.pieces[pi];
+                            let satisfied = semantics::consume_wait(
+                                &mut state[pi].consumed,
+                                wids.iter().copied(),
+                                count,
+                                |consumed, id| self.avail(piece, consumed, id, &class_min) >= 1,
+                                take_one,
+                            );
                             if satisfied {
                                 state[pi].cursor += 1;
                             } else {
@@ -1085,47 +1089,13 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// All-of consumption (`WaitNotify`, and `WaitNotifyAny` demanding its
-    /// full set): satisfiable iff every id has an unconsumed arrival.
-    fn try_consume_all(&self, piece: &Piece, state: &mut PieceState, ids: &[NotifyId], class_min: &[usize]) -> bool {
-        let ok = ids.iter().all(|&id| self.avail(piece, state, id, class_min) >= 1);
-        if ok {
-            for &id in ids {
-                *state.consumed.entry(id).or_insert(0) += 1;
-            }
-        }
-        ok
-    }
-
-    /// Partial any-wait: needs `count` distinct available ids; consumes one
-    /// arrival from each of the first `count` available ids in listed order
-    /// — the engine's exact semantics.
-    fn try_consume_any(
-        &self,
-        piece: &Piece,
-        state: &mut PieceState,
-        ids: &[NotifyId],
-        count: usize,
-        class_min: &[usize],
-    ) -> bool {
-        let available: Vec<NotifyId> =
-            ids.iter().copied().filter(|&id| self.avail(piece, state, id, class_min) >= 1).collect();
-        if available.len() < count {
-            return false;
-        }
-        for &id in available.iter().take(count) {
-            *state.consumed.entry(id).or_insert(0) += 1;
-        }
-        true
-    }
-
     /// Unconsumed arrivals of `id` at `piece`, counting only supply whose
     /// producing op every rank of the producing class has passed.
-    fn avail(&self, piece: &Piece, state: &PieceState, id: NotifyId, class_min: &[usize]) -> u64 {
+    fn avail(&self, piece: &Piece, consumed: &HashMap<NotifyId, u64>, id: NotifyId, class_min: &[usize]) -> u64 {
         let produced: u64 = piece.notify.get(&id).map_or(0, |srcs| {
             srcs.iter().filter(|s| class_min[s.class as usize] > s.op as usize).map(|s| s.count).sum()
         });
-        produced.saturating_sub(state.consumed.get(&id).copied().unwrap_or(0))
+        produced.saturating_sub(consumed.get(&id).copied().unwrap_or(0))
     }
 
     /// Try to advance a stalled piece by *rank-order induction* — the
@@ -1185,30 +1155,22 @@ impl<'a> Analyzer<'a> {
                 | OpKind::WaitAllSends => cursor += 1,
                 OpKind::WaitOne | OpKind::WaitMany | OpKind::WaitAny => {
                     let count = self.wait_ids(idx, &mut wids);
-                    let avail_of = |id: NotifyId, consumed: &HashMap<NotifyId, u64>| {
-                        notify_sup
-                            .get(&id)
-                            .map_or(0, |cs| cs.avail)
-                            .saturating_sub(consumed.get(&id).copied().unwrap_or(0))
-                    };
-                    let take: Vec<NotifyId> = if kind == OpKind::WaitAny && count < wids.len() {
-                        let available: Vec<NotifyId> =
-                            wids.iter().copied().filter(|&id| avail_of(id, &consumed) >= 1).collect();
-                        if available.len() < count {
-                            break;
-                        }
-                        available[..count].to_vec()
-                    } else {
-                        if !wids.iter().all(|&id| avail_of(id, &consumed) >= 1) {
-                            break;
-                        }
-                        wids.clone()
-                    };
-                    for id in take {
-                        *consumed.entry(id).or_insert(0) += 1;
-                        if let Some(op) = notify_sup.get(&id).and_then(|cs| cs.inductive_op) {
-                            inductive_bound = Some(inductive_bound.map_or(op, |m| m.max(op)));
-                        }
+                    let satisfied = semantics::consume_wait(
+                        &mut consumed,
+                        wids.iter().copied(),
+                        count,
+                        |consumed, id| {
+                            notify_sup.get(&id).map_or(0, |cs| cs.avail) > consumed.get(&id).copied().unwrap_or(0)
+                        },
+                        |consumed, id| {
+                            take_one(consumed, id);
+                            if let Some(op) = notify_sup.get(&id).and_then(|cs| cs.inductive_op) {
+                                inductive_bound = Some(inductive_bound.map_or(op, |m| m.max(op)));
+                            }
+                        },
+                    );
+                    if !satisfied {
+                        break;
                     }
                     cursor += 1;
                 }
@@ -1413,12 +1375,18 @@ impl<'a> Analyzer<'a> {
     /// an edge counts as soon as any rank in its writer interval has
     /// passed the producing op (the class-minimum gate is subsumed —
     /// `class_min > op` implies every writer passed it).
-    fn avail_optimistic(&self, piece: &Piece, ps: &PieceState, id: NotifyId, state: &[PieceState]) -> u64 {
+    fn avail_optimistic(
+        &self,
+        piece: &Piece,
+        consumed: &HashMap<NotifyId, u64>,
+        id: NotifyId,
+        state: &[PieceState],
+    ) -> u64 {
         let mut spans: Vec<(usize, usize)> = Vec::new();
         let produced: u64 = piece.notify.get(&id).map_or(0, |srcs| {
             srcs.iter().filter(|s| self.edge_live_for_any_rank(piece, s, state, &mut spans)).map(|s| s.count).sum()
         });
-        produced.saturating_sub(ps.consumed.get(&id).copied().unwrap_or(0))
+        produced.saturating_sub(consumed.get(&id).copied().unwrap_or(0))
     }
 
     /// True when the stalled residual state cannot complete under *any*
@@ -1465,18 +1433,16 @@ impl<'a> Analyzer<'a> {
                         | OpKind::WaitAllSends => {}
                         OpKind::WaitOne | OpKind::WaitMany | OpKind::WaitAny => {
                             let count = self.wait_ids(idx, &mut wids);
-                            let available: Vec<NotifyId> = wids
-                                .iter()
-                                .copied()
-                                .filter(|&id| self.avail_optimistic(piece, &state[pi], id, &state) >= 1)
-                                .collect();
-                            let take = if kind == OpKind::WaitAny { count.min(wids.len()) } else { wids.len() };
-                            if available.len() < take {
+                            let satisfied = semantics::consume_wait(
+                                &mut state,
+                                wids.iter().copied(),
+                                count,
+                                |st, id| self.avail_optimistic(piece, &st[pi].consumed, id, st) >= 1,
+                                |st, id| take_one(&mut st[pi].consumed, id),
+                            );
+                            if !satisfied {
                                 state[pi].stuck = Stuck::Wait;
                                 break;
-                            }
-                            for &id in available.iter().take(take) {
-                                *state[pi].consumed.entry(id).or_insert(0) += 1;
                             }
                         }
                         OpKind::Recv => {
@@ -1558,6 +1524,12 @@ struct CertCommit {
     cursor: usize,
     consumed: HashMap<NotifyId, u64>,
     msgs_consumed: HashMap<(RankId, u32), u64>,
+}
+
+/// Consume one arrival of `id` (the `take` half of the wait rule over a
+/// consumed-arrival map).
+fn take_one(consumed: &mut HashMap<NotifyId, u64>, id: NotifyId) {
+    *consumed.entry(id).or_insert(0) += 1;
 }
 
 /// Recompute class `ci`'s minimum cursor and, if it advanced, wake the

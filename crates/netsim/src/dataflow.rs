@@ -18,10 +18,11 @@
 //!
 //! Under these conditions each rank's op chain can *burst-execute*: local
 //! ops advance the rank's clock inline, puts compute their full wire timing
-//! immediately (the same formulas as the strict engine's `schedule_wire`)
-//! and append the arrival to the destination's FIFO, and notification waits
-//! drain that FIFO by visible time.  No global event queue, no heap
-//! traffic — the scheduler cost per op drops to a few arithmetic ops.
+//! immediately (the strict engine's alpha–beta model, shared through the
+//! `semantics` module) and append the arrival to the destination's FIFO,
+//! and notification waits drain that FIFO by visible time.  No global event
+//! queue, no heap traffic — the scheduler cost per op drops to a few
+//! arithmetic ops.
 //!
 //! ## Parallel execution and determinism
 //!
@@ -59,7 +60,7 @@
 //! the single writer), so sorting the merged shard buffers by
 //! `(time, rank, seq)` reproduces the strict trace event-for-event.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Barrier, Mutex};
 
@@ -71,7 +72,8 @@ use crate::metrics::EngineMetrics;
 use crate::program::{CommProfile, NotifyId};
 use crate::report::{RankStats, RunReport};
 use crate::scenario::ScenarioInstance;
-use crate::trace::{sort_trace, BlockReason, MsgLabel, TraceDetail, TraceEvent, TraceFilter, TraceKind, ARRIVAL_SEQ};
+use crate::semantics::{self, Tracer, Wire};
+use crate::trace::{sort_trace, BlockReason, MsgLabel, TraceDetail, TraceEvent, TraceFilter, TraceKind};
 
 /// A notification arrival in flight between shards.
 #[derive(Debug, Clone, Copy)]
@@ -102,12 +104,6 @@ struct DfRank {
     tx_free: f64,
     /// Completion time of the rank's latest transfer (for `WaitAllSends`).
     max_tx_done: f64,
-    compute_scale: f64,
-    /// Own-event trace sequence counter (mirrors the strict engine's
-    /// per-rank channel; advances even for filtered-out ranks).
-    seq: u64,
-    /// Trace flow-id counter for this rank's injections.
-    flow_seq: u64,
     stats: RankStats,
 }
 
@@ -123,47 +119,9 @@ impl DfRank {
             fifo: VecDeque::new(),
             tx_free: 0.0,
             max_tx_done: 0.0,
-            compute_scale,
-            seq: 0,
-            flow_seq: 0,
             stats: RankStats { compute_scale, ..RankStats::default() },
         }
     }
-}
-
-/// Record an arrival against the rank's counter slice (the strict engine's
-/// `on_notify` bookkeeping: out-of-range ids are counted but can never
-/// satisfy a wait).
-#[inline]
-fn note_arrival(r: &mut DfRank, counts: &mut [u32], id: NotifyId) {
-    if let Some(c) = counts.get_mut(id as usize) {
-        *c += 1;
-    }
-    r.stats.notifications_received += 1;
-}
-
-/// Exact mirror of the strict engine's `consume_notifications`: if at least
-/// `count` of `ids` have unconsumed arrivals, consume one from each of the
-/// first `count` available ids in listed order.
-fn consume(r: &mut DfRank, counts: &mut [u32], ids: IdsRef<'_>, count: usize) -> bool {
-    let need = count.min(ids.len());
-    let available = ids.iter().filter(|&id| counts.get(id as usize).is_some_and(|&c| c > 0)).count();
-    if available < need {
-        return false;
-    }
-    let mut taken = 0usize;
-    for id in ids.iter() {
-        if taken == need {
-            break;
-        }
-        let c = &mut counts[id as usize];
-        if *c > 0 {
-            *c -= 1;
-            taken += 1;
-        }
-    }
-    r.stats.notifications_consumed += taken as u64;
-    true
 }
 
 /// Complete a satisfied wait: unpark, advance the clock and pc, account.
@@ -211,16 +169,16 @@ fn try_finish_wait(
             break;
         }
         let (_, id) = r.fifo.pop_front().expect("front exists");
-        note_arrival(r, counts, id);
+        semantics::note_arrival(counts, &mut r.stats, id);
     }
-    if consume(r, counts, ids, count) {
+    if semantics::consume_counts(counts, ids, count, &mut r.stats) {
         let end = bs + notify_overhead;
         finish_wait(r, end, 0.0);
         return WaitOutcome::Immediate { end };
     }
     while let Some((v, id)) = r.fifo.pop_front() {
-        note_arrival(r, counts, id);
-        if consume(r, counts, ids, count) {
+        semantics::note_arrival(counts, &mut r.stats, id);
+        if semantics::consume_counts(counts, ids, count, &mut r.stats) {
             let end = v + notify_overhead;
             finish_wait(r, end, end - bs);
             return WaitOutcome::Waited { from: bs, end };
@@ -235,10 +193,8 @@ struct Shard<'a> {
     hi: usize,
     /// Rank-block size of the uniform partition (`shard of r` = `r / chunk`).
     chunk: usize,
-    cluster: &'a ClusterSpec,
     cost: &'a CostModel,
     program: &'a CompiledProgram,
-    scenario: Option<&'a ScenarioInstance>,
     ranks: Vec<DfRank>,
     /// Dense unconsumed-arrival counters for this shard's ranks, flattened
     /// into one allocation; local rank `li`'s counters live at
@@ -246,28 +202,23 @@ struct Shard<'a> {
     counts: Vec<u32>,
     /// Per-local-rank prefix offsets into `counts` (length `hi - lo + 1`).
     offs: Vec<usize>,
-    /// Full-size per-node NIC cursors.  Only entries this shard's ranks send
-    /// from (tx) or write to (rx) are touched; the single-writer and
-    /// one-rank-per-node eligibility rules make those entry sets disjoint
-    /// across shards.
-    node_tx_free: Vec<f64>,
-    node_rx_free: Vec<f64>,
+    /// Alpha-beta wire with full-size per-node NIC cursors.  Only entries
+    /// this shard's ranks send from (tx) or write to (rx) are touched; the
+    /// single-writer and one-rank-per-node eligibility rules make those
+    /// entry sets disjoint across shards.
+    wire: Wire<'a>,
     /// Local rank indices ready to execute.
     worklist: VecDeque<usize>,
     /// Outbound arrivals per destination shard, flushed once per round.
     outbox: Vec<Vec<Arrival>>,
-    /// Emit trace events mirroring the strict engine's stream.
-    tracing: bool,
-    filter: TraceFilter,
-    /// Events emitted by this shard: own-channel events of its local ranks
-    /// plus arrival-channel events for the destinations its ranks write to
-    /// (the single-writer rule makes those destination sets disjoint across
-    /// shards, so the post-merge sort is a deterministic total order).
-    trace: Vec<TraceEvent>,
-    /// Arrival-channel sequence counters keyed by destination rank; minted
-    /// sender-side in the writer's program order, which is exactly the order
-    /// the strict engine schedules the corresponding `NotifyVisible` events.
-    arrival_seq: HashMap<RankId, u64>,
+    /// Events emitted by this shard, numbered exactly as the strict engine
+    /// numbers them: own-channel events of its local ranks plus
+    /// arrival-channel events for the destinations its ranks write to.  The
+    /// single-writer rule makes those destination sets disjoint across
+    /// shards, and a destination's arrivals are minted sender-side in the
+    /// writer's program order — the order the strict engine schedules them
+    /// — so the post-merge sort is a deterministic total order.
+    trace: Tracer,
 }
 
 impl<'a> Shard<'a> {
@@ -285,12 +236,8 @@ impl<'a> Shard<'a> {
         tracing: bool,
         filter: TraceFilter,
     ) -> Self {
-        let ranks = (lo..hi)
-            .map(|r| {
-                let scale = scenario.map_or(1.0, |s| s.compute_scale(cluster.node_of(r)));
-                DfRank::new(scale)
-            })
-            .collect();
+        let ranks =
+            (lo..hi).map(|r| DfRank::new(scenario.map_or(1.0, |s| s.compute_scale(cluster.node_of(r))))).collect();
         let mut offs = Vec::with_capacity(hi - lo + 1);
         let mut acc = 0usize;
         offs.push(0);
@@ -302,51 +249,15 @@ impl<'a> Shard<'a> {
             lo,
             hi,
             chunk,
-            cluster,
             cost,
             program,
-            scenario,
             ranks,
             counts: vec![0; acc],
             offs,
-            node_tx_free: vec![0.0; cluster.nodes],
-            node_rx_free: vec![0.0; cluster.nodes],
+            wire: Wire::new(cluster, cost, scenario),
             worklist: (0..hi - lo).collect(),
             outbox: vec![Vec::new(); num_shards],
-            tracing,
-            filter,
-            trace: Vec::new(),
-            arrival_seq: HashMap::new(),
-        }
-    }
-
-    /// Record an own-channel event for local rank `li`.  Identical numbering
-    /// to the strict engine's `trace_own`: the counter advances even when
-    /// the filter drops the rank, so a windowed trace is a strict subset of
-    /// the full one.
-    fn trace_own(&mut self, li: usize, time: f64, kind: TraceKind, op_index: Option<usize>, detail: TraceDetail) {
-        if !self.tracing {
-            return;
-        }
-        let rank = self.lo + li;
-        let r = &mut self.ranks[li];
-        let seq = r.seq;
-        r.seq += 1;
-        if self.filter.keeps(rank) {
-            self.trace.push(TraceEvent::new(time, rank, kind, op_index, seq, detail));
-        }
-    }
-
-    /// Record a (future-dated) arrival-channel event for destination `dst`.
-    fn trace_arrival(&mut self, time: f64, dst: RankId, kind: TraceKind, detail: TraceDetail) {
-        if !self.tracing {
-            return;
-        }
-        let c = self.arrival_seq.entry(dst).or_insert(0);
-        let seq = ARRIVAL_SEQ | *c;
-        *c += 1;
-        if self.filter.keeps(dst) {
-            self.trace.push(TraceEvent::new(time, dst, kind, None, seq, detail));
+            trace: Tracer::new(tracing, filter, program.num_ranks()),
         }
     }
 
@@ -356,16 +267,17 @@ impl<'a> Shard<'a> {
     /// number are the same ones the strict engine assigns at block time,
     /// because a parked rank emits no own-channel events in between.
     fn emit_wait(&mut self, li: usize, pc: usize, outcome: WaitOutcome) -> bool {
+        let rank = self.lo + li;
         match outcome {
             WaitOutcome::Pending => false,
             WaitOutcome::Immediate { end } => {
-                self.trace_own(li, end, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+                self.trace.own(end, rank, TraceKind::OpEnd, Some(pc), TraceDetail::None);
                 true
             }
             WaitOutcome::Waited { from, end } => {
                 let detail = TraceDetail::Block { reason: BlockReason::Notify };
-                self.trace_own(li, from, TraceKind::BlockStart, Some(pc), detail);
-                self.trace_own(li, end, TraceKind::BlockEnd, Some(pc), detail);
+                self.trace.own(from, rank, TraceKind::BlockStart, Some(pc), detail);
+                self.trace.own(end, rank, TraceKind::BlockEnd, Some(pc), detail);
                 true
             }
         }
@@ -413,11 +325,8 @@ impl<'a> Shard<'a> {
         loop {
             if self.ranks[li].blocked {
                 let pc = self.ranks[li].pc;
-                let (ids, count) = match view.op(pc) {
-                    OpView::WaitNotify { ids } => (ids, ids.len()),
-                    OpView::WaitNotifyAny { ids, count } => (ids, count),
-                    _ => unreachable!("only notification waits park a dataflow rank"),
-                };
+                let (ids, count) =
+                    semantics::wait_of(view.op(pc)).expect("only notification waits park a dataflow rank");
                 let outcome =
                     try_finish_wait(&mut self.ranks[li], &mut self.counts[clo..chi], ids, count, notify_overhead);
                 if !self.emit_wait(li, pc, outcome) {
@@ -433,26 +342,14 @@ impl<'a> Shard<'a> {
                 return;
             }
             let op = view.op(pc);
-            if self.tracing {
-                let t = self.ranks[li].clock;
-                self.trace_own(li, t, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
-            }
+            let t = self.ranks[li].clock;
+            self.trace.own(t, rank, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
             match op {
-                OpView::Compute { seconds } => self.exec_local(li, pc, seconds.max(0.0)),
-                OpView::Reduce { bytes } => self.exec_local(li, pc, self.cost.reduce_time(bytes)),
-                OpView::Copy { bytes } => self.exec_local(li, pc, self.cost.copy_time(bytes)),
+                OpView::Compute { .. } | OpView::Reduce { .. } | OpView::Copy { .. } => self.exec_local(li, pc, op),
                 OpView::PutNotify { dst, bytes, notify } => self.exec_put(li, rank, dst, bytes, notify, pc),
                 OpView::Notify { dst, notify } => self.exec_put(li, rank, dst, 0, notify, pc),
-                OpView::WaitNotify { ids } => {
-                    let r = &mut self.ranks[li];
-                    r.blocked = true;
-                    r.blocked_since = r.clock;
-                    let outcome = try_finish_wait(r, &mut self.counts[clo..chi], ids, ids.len(), notify_overhead);
-                    if !self.emit_wait(li, pc, outcome) {
-                        return;
-                    }
-                }
-                OpView::WaitNotifyAny { ids, count } => {
+                OpView::WaitNotify { .. } | OpView::WaitNotifyAny { .. } => {
+                    let (ids, count) = semantics::wait_of(op).expect("a notification wait");
                     let r = &mut self.ranks[li];
                     r.blocked = true;
                     r.blocked_since = r.clock;
@@ -475,10 +372,10 @@ impl<'a> Shard<'a> {
                     r.stats.finish_time = r.stats.finish_time.max(r.clock);
                     if tx > t {
                         let detail = TraceDetail::Block { reason: BlockReason::AllSends };
-                        self.trace_own(li, t, TraceKind::BlockStart, Some(pc), detail);
-                        self.trace_own(li, tx, TraceKind::BlockEnd, Some(pc), detail);
+                        self.trace.own(t, rank, TraceKind::BlockStart, Some(pc), detail);
+                        self.trace.own(tx, rank, TraceKind::BlockEnd, Some(pc), detail);
                     } else {
-                        self.trace_own(li, t, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+                        self.trace.own(t, rank, TraceKind::OpEnd, Some(pc), TraceDetail::None);
                     }
                 }
                 OpView::Send { .. } | OpView::Isend { .. } | OpView::Recv { .. } | OpView::Barrier => {
@@ -488,77 +385,41 @@ impl<'a> Shard<'a> {
         }
     }
 
-    /// A purely local operation of nominal duration `d`, scaled by the
-    /// rank's scenario compute factor.
-    fn exec_local(&mut self, li: usize, pc: usize, d: f64) {
+    /// A purely local operation (see [`semantics::local_op`]).
+    fn exec_local(&mut self, li: usize, pc: usize, op: OpView<'_>) {
         let r = &mut self.ranks[li];
-        let d = d * r.compute_scale;
-        r.stats.compute_time += d;
-        r.clock += d;
+        r.clock = semantics::local_op(self.cost, op, r.clock, &mut r.stats);
         r.pc += 1;
         r.stats.finish_time = r.stats.finish_time.max(r.clock);
         let end = r.clock;
-        self.trace_own(li, end, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+        self.trace.own(end, self.lo + li, TraceKind::OpEnd, Some(pc), TraceDetail::None);
     }
 
-    /// One-sided put (or zero-byte notify): the exact wire-timing formulas
-    /// of the strict engine's `schedule_put`/`schedule_wire`, evaluated
-    /// inline.
+    /// One-sided put (or zero-byte notify) on the alpha-beta wire: the
+    /// arrival is timed at issue and routed to the destination's FIFO.
     fn exec_put(&mut self, li: usize, src: RankId, dst: RankId, bytes: u64, notify: NotifyId, pc: usize) {
-        let cost = self.cost;
-        let same = self.cluster.same_node(src, dst);
-        let src_node = self.cluster.node_of(src);
-        let dst_node = self.cluster.node_of(dst);
-        let mut ser = cost.serialization(bytes, cost.beta_one_sided(same));
-        let mut alpha = cost.alpha(same);
-        if let Some(inst) = self.scenario {
-            alpha *= inst.link_alpha_scale(src_node, dst_node);
-            ser *= inst.link_beta_scale(src_node, dst_node);
-        }
         let r = &mut self.ranks[li];
-        let launch = r.clock + cost.o_send;
-        let mut tx_start = launch.max(r.tx_free);
-        if !same {
-            tx_start = tx_start.max(self.node_tx_free[src_node]);
-        }
-        let tx_done = tx_start + ser;
-        r.tx_free = tx_done;
-        if !same {
-            self.node_tx_free[src_node] = tx_done;
-        }
-        let mut rx_start = tx_start + alpha;
-        if !same {
-            rx_start = rx_start.max(self.node_rx_free[dst_node]);
-        }
-        let delivered = rx_start + ser;
-        if !same {
-            self.node_rx_free[dst_node] = delivered;
-        }
+        let launch = r.clock + self.cost.o_send;
+        let w = self.wire.transfer(src, dst, bytes, false, launch, &mut r.tx_free);
         r.stats.bytes_sent += bytes;
         r.stats.messages_sent += 1;
-        r.max_tx_done = r.max_tx_done.max(tx_done);
+        r.max_tx_done = r.max_tx_done.max(w.tx_done);
         r.pc += 1;
         r.clock = launch;
         r.stats.finish_time = r.stats.finish_time.max(launch);
-        let visible = delivered + cost.notify_overhead;
-        if self.tracing {
-            let flow = ((src as u64) << 32) | r.flow_seq;
-            r.flow_seq += 1;
-            let label = MsgLabel::Notify(notify);
-            // Same per-op order as the strict engine: OpStart (already
-            // emitted by the caller), MsgInjected, OpEnd, plus the
-            // future-dated arrival on the destination's channel with the
-            // identical queue/wire decomposition as `schedule_wire`.
-            let queue = (tx_start - launch) + (rx_start - (tx_start + alpha));
-            self.trace_own(li, launch, TraceKind::MsgInjected, None, TraceDetail::Inject { dst, bytes, label, flow });
-            self.trace_own(li, launch, TraceKind::OpEnd, Some(pc), TraceDetail::None);
-            self.trace_arrival(
-                visible,
-                dst,
-                TraceKind::NotifyVisible,
-                TraceDetail::Arrival { src, bytes, label, flow, inject: launch, queue, wire: ser },
-            );
-        }
+        let visible = w.delivered + self.cost.notify_overhead;
+        // Same per-op order as the strict engine: OpStart (already emitted
+        // by the caller), MsgInjected, OpEnd, plus the future-dated arrival
+        // on the destination's channel.
+        let label = MsgLabel::Notify(notify);
+        let flow = self.trace.inject(launch, src, dst, bytes, label);
+        self.trace.own(launch, src, TraceKind::OpEnd, Some(pc), TraceDetail::None);
+        self.trace.arrival(
+            visible,
+            dst,
+            TraceKind::NotifyVisible,
+            TraceDetail::Arrival { src, bytes, label, flow, inject: launch, queue: w.queue, wire: w.ser },
+        );
         self.deliver(Arrival { dst, visible, notify, bytes });
     }
 }
@@ -584,7 +445,7 @@ pub(crate) fn run(
     if shards == 1 {
         let mut shard = Shard::new(0, n, chunk, 1, cluster, cost, program, scenario, profile, tracing, filter);
         shard.run_to_quiescence();
-        return assemble(program, shard.ranks, shard.trace);
+        return assemble(program, shard.ranks, shard.trace.into_events());
     }
 
     // Parallel execution: one worker per shard, synchronized in rounds.
@@ -624,7 +485,7 @@ pub(crate) fn run(
                         break;
                     }
                 }
-                (lo, shard.ranks, shard.trace)
+                (lo, shard.ranks, shard.trace.into_events())
             }));
         }
         handles.into_iter().map(|h| h.join().expect("shard worker panicked")).collect()
@@ -653,12 +514,9 @@ fn assemble(
         r.stats.notifications_received += r.fifo.len() as u64;
         r.fifo.clear();
         if !r.done {
-            let what = match program.rank_ops(rank).op(r.pc) {
-                OpView::WaitNotify { ids } => format!("waiting for {} of notifications {ids:?}", ids.len()),
-                OpView::WaitNotifyAny { ids, count } => format!("waiting for {count} of notifications {ids:?}"),
-                other => format!("stuck at {other:?}"),
-            };
-            blocked.push((rank, r.pc, what));
+            let (ids, count) =
+                semantics::wait_of(program.rank_ops(rank).op(r.pc)).expect("a stuck dataflow rank is parked in a wait");
+            blocked.push((rank, r.pc, semantics::describe_wait(ids, count)));
         }
     }
     if !blocked.is_empty() {

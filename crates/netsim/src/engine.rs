@@ -32,8 +32,7 @@
 //! and per-link jitter scales latency and serialization time.  The applied
 //! per-rank compute scale is surfaced in [`RankStats::compute_scale`].
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 use crate::calendar::{CalendarQueue, Timed};
@@ -47,11 +46,10 @@ use crate::packet::{PacketConfig, PacketFabric};
 use crate::program::{NotifyId, Program, Tag};
 use crate::report::{LinkStats, RankStats, ReportDetail, RunReport};
 use crate::scenario::{Scenario, ScenarioInstance};
+use crate::semantics::{self, Tracer, Wire, WireTiming};
 use crate::source::ProgramSource;
 use crate::topology::{Topology, TopologyError};
-use crate::trace::{
-    sort_trace, BlockReason, MsgLabel, TraceDetail, TraceEvent, TraceFilter, TraceKind, TraceSink, ARRIVAL_SEQ,
-};
+use crate::trace::{sort_trace, BlockReason, MsgLabel, TraceDetail, TraceFilter, TraceKind, TraceSink};
 use crate::validate::{validate_compiled, ValidationError};
 
 /// How inter-node transfers are priced.
@@ -135,21 +133,6 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Event-queue implementation driving the strict discrete-event path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Bucketed calendar queue — O(1) amortized enqueue/dequeue with the
-    /// bucket width derived from the cost model's link latencies (the
-    /// default).  Engines with this scheduler also dispatch eligible
-    /// programs to the dataflow fast path (see the `dataflow` module docs).
-    #[default]
-    CalendarQueue,
-    /// The legacy global `BinaryHeap` scheduler.  Selecting it pins the
-    /// engine to the strict event loop (the dataflow fast path is disabled
-    /// too); retained for differential testing against the calendar queue.
-    BinaryHeap,
-}
-
 /// Maximum tolerated backwards time step at virtual time `now`.
 ///
 /// Event times are f64 sums assembled along different arithmetic paths
@@ -173,7 +156,6 @@ pub struct Engine {
     sink: Option<Arc<Mutex<dyn TraceSink>>>,
     scenario: Option<Scenario>,
     network: NetworkModel,
-    scheduler: SchedulerKind,
     shards: usize,
     report_detail: ReportDetail,
 }
@@ -188,7 +170,6 @@ impl std::fmt::Debug for Engine {
             .field("sink", &self.sink.as_ref().map(|_| "TraceSink"))
             .field("scenario", &self.scenario)
             .field("network", &self.network)
-            .field("scheduler", &self.scheduler)
             .field("shards", &self.shards)
             .field("report_detail", &self.report_detail)
             .finish()
@@ -206,7 +187,6 @@ impl Engine {
             sink: None,
             scenario: None,
             network: NetworkModel::AlphaBeta,
-            scheduler: SchedulerKind::default(),
             shards: 1,
             report_detail: ReportDetail::default(),
         }
@@ -339,18 +319,6 @@ impl Engine {
         &self.network
     }
 
-    /// Select the event-queue implementation of the strict event loop (see
-    /// [`SchedulerKind`]; the calendar queue is the default).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// The scheduler driving the strict event loop.
-    pub fn scheduler(&self) -> SchedulerKind {
-        self.scheduler
-    }
-
     /// Number of worker shards for the parallel dataflow fast path (clamped
     /// to at least 1).  Ranks are partitioned into contiguous blocks, one
     /// per shard; cross-shard notification arrivals travel through per-shard
@@ -363,11 +331,6 @@ impl Engine {
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
         self
-    }
-
-    /// The configured shard count.
-    pub fn shards(&self) -> usize {
-        self.shards
     }
 
     /// Select how much per-rank detail the returned [`RunReport`] retains
@@ -392,15 +355,9 @@ impl Engine {
     /// many times should [`Program::compile`] once and use
     /// [`Engine::run_compiled`] instead.
     pub fn run(&self, program: &Program) -> Result<RunReport, SimError> {
-        let cluster_ranks = self.cluster.total_ranks();
-        if program.num_ranks() != cluster_ranks {
-            return Err(SimError::Invalid(ValidationError::RankCountMismatch {
-                program: program.num_ranks(),
-                cluster: cluster_ranks,
-            }));
-        }
+        self.check_rank_count(program.num_ranks())?;
         let compiled = program.compile().map_err(SimError::Invalid)?;
-        self.run_compiled_inner(&compiled)
+        self.execute(&compiled, true)
     }
 
     /// Simulate an already-compiled program.
@@ -410,7 +367,7 @@ impl Engine {
     /// bounds); the expensive per-op validation is not repeated.
     pub fn run_compiled(&self, program: &CompiledProgram) -> Result<RunReport, SimError> {
         validate_compiled(program, self.cluster.total_ranks()).map_err(SimError::Invalid)?;
-        self.run_compiled_inner(program)
+        self.execute(program, true)
     }
 
     /// Simulate a [`ProgramSource`], compiling rank op streams on the fly.
@@ -420,15 +377,9 @@ impl Engine {
     /// shared arena segments, so a symmetric million-rank collective
     /// simulates in O(ops) program memory.
     pub fn run_source<S: ProgramSource>(&self, source: &S) -> Result<RunReport, SimError> {
-        let cluster_ranks = self.cluster.total_ranks();
-        if source.num_ranks() != cluster_ranks {
-            return Err(SimError::Invalid(ValidationError::RankCountMismatch {
-                program: source.num_ranks(),
-                cluster: cluster_ranks,
-            }));
-        }
+        self.check_rank_count(source.num_ranks())?;
         let compiled = CompiledProgram::from_source(source).map_err(SimError::Invalid)?;
-        self.run_compiled_inner(&compiled)
+        self.execute(&compiled, true)
     }
 
     /// [`Engine::run`] with an opt-in static pre-flight: the program is
@@ -437,54 +388,38 @@ impl Engine {
     /// notification leak, consumption race, or one-sided buffer race — is
     /// found, before any virtual time is simulated.
     pub fn run_checked(&self, program: &Program) -> Result<RunReport, SimError> {
-        let cluster_ranks = self.cluster.total_ranks();
-        if program.num_ranks() != cluster_ranks {
-            return Err(SimError::Invalid(ValidationError::RankCountMismatch {
-                program: program.num_ranks(),
-                cluster: cluster_ranks,
-            }));
-        }
+        self.check_rank_count(program.num_ranks())?;
         let compiled = program.compile().map_err(SimError::Invalid)?;
-        self.preflight(&compiled)?;
-        self.run_compiled_inner(&compiled)
-    }
-
-    /// [`Engine::run_compiled`] with the static pre-flight of
-    /// [`Engine::run_checked`].
-    pub fn run_compiled_checked(&self, program: &CompiledProgram) -> Result<RunReport, SimError> {
-        validate_compiled(program, self.cluster.total_ranks()).map_err(SimError::Invalid)?;
-        self.preflight(program)?;
-        self.run_compiled_inner(program)
-    }
-
-    /// [`Engine::run_source`] with the static pre-flight of
-    /// [`Engine::run_checked`].
-    pub fn run_source_checked<S: ProgramSource>(&self, source: &S) -> Result<RunReport, SimError> {
-        let cluster_ranks = self.cluster.total_ranks();
-        if source.num_ranks() != cluster_ranks {
-            return Err(SimError::Invalid(ValidationError::RankCountMismatch {
-                program: source.num_ranks(),
-                cluster: cluster_ranks,
-            }));
+        let report = crate::analyze::analyze_compiled(&compiled);
+        if !report.is_clean() {
+            return Err(SimError::Analysis(report.errors));
         }
-        let compiled = CompiledProgram::from_source(source).map_err(SimError::Invalid)?;
-        self.preflight(&compiled)?;
-        self.run_compiled_inner(&compiled)
+        self.execute(&compiled, true)
     }
 
-    /// The analyzer gate shared by the `*_checked` entry points.
-    fn preflight(&self, compiled: &CompiledProgram) -> Result<(), SimError> {
-        let report = crate::analyze::analyze_compiled(compiled);
-        if report.is_clean() {
-            Ok(())
-        } else {
-            Err(SimError::Analysis(report.errors))
+    /// [`Engine::run`] on the strict event loop even where the dataflow
+    /// path would take the program: the reference the dataflow path is
+    /// tested against.
+    #[cfg(test)]
+    pub(crate) fn run_strict(&self, program: &Program) -> Result<RunReport, SimError> {
+        self.check_rank_count(program.num_ranks())?;
+        let compiled = program.compile().map_err(SimError::Invalid)?;
+        self.execute(&compiled, false)
+    }
+
+    /// Reject a program whose rank count differs from the cluster's.
+    fn check_rank_count(&self, program: usize) -> Result<(), SimError> {
+        let cluster = self.cluster.total_ranks();
+        if program != cluster {
+            return Err(SimError::Invalid(ValidationError::RankCountMismatch { program, cluster }));
         }
+        Ok(())
     }
 
-    /// Shared execution path behind [`Engine::run`], [`Engine::run_compiled`]
-    /// and [`Engine::run_source`]: the program is known valid here.
-    fn run_compiled_inner(&self, program: &CompiledProgram) -> Result<RunReport, SimError> {
+    /// Shared execution path behind every entry point: the program is known
+    /// valid here.  `allow_dataflow` is false only for the strict reference
+    /// runs of the tests.
+    fn execute(&self, program: &CompiledProgram, allow_dataflow: bool) -> Result<RunReport, SimError> {
         let instance = match &self.scenario {
             Some(s) => {
                 s.validate().map_err(SimError::BadScenario)?;
@@ -534,7 +469,7 @@ impl Engine {
         // the canonical `(time, rank, seq)` order post-run.  Anything else
         // (fabric contention, two-sided matching, barriers, shared NICs,
         // multiple writers) runs the strict event loop.
-        let eligible = self.scheduler == SchedulerKind::CalendarQueue
+        let eligible = allow_dataflow
             && fabric.is_none()
             && self.cluster.ranks_per_node == 1
             && profile.one_sided_only
@@ -551,8 +486,7 @@ impl Engine {
                 self.filter,
             )?
         } else {
-            Sim::new(&self.cluster, &self.cost, program, self.tracing, self.filter, instance, fabric, self.scheduler)
-                .run()?
+            Sim::new(&self.cluster, &self.cost, program, self.tracing, self.filter, instance.as_ref(), fabric).run()?
         };
         if let Some(sink) = &self.sink {
             let mut sink = sink.lock().expect("trace sink lock poisoned");
@@ -583,7 +517,7 @@ enum EventKind {
     /// A two-sided message was fully delivered into the rank's memory.
     Delivered { src: RankId, tag: Tag, bytes: u64, msg: MsgId },
     /// A one-sided notification became visible at the rank.
-    NotifyVisible { notify: NotifyId, bytes: u64 },
+    NotifyVisible { notify: NotifyId },
     /// A transfer injected by the rank finished leaving its NIC.
     TxDone { msg: MsgId },
     /// The head of the rank's fabric injection queue is ready to launch.
@@ -628,48 +562,6 @@ impl Timed for Event {
     }
 }
 
-/// The strict event loop's pending-event store: the legacy global binary
-/// heap or the bucketed calendar queue (see [`SchedulerKind`]).  Both yield
-/// events in the identical `(time, rank, seq)` total order.
-#[derive(Debug)]
-enum EventQueue {
-    Heap(BinaryHeap<Reverse<Event>>),
-    Calendar(CalendarQueue<Event>),
-}
-
-impl EventQueue {
-    fn new(kind: SchedulerKind, bucket_width: f64, capacity: usize) -> Self {
-        match kind {
-            SchedulerKind::BinaryHeap => EventQueue::Heap(BinaryHeap::with_capacity(capacity)),
-            SchedulerKind::CalendarQueue => EventQueue::Calendar(CalendarQueue::new(bucket_width, capacity)),
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, ev: Event) {
-        match self {
-            EventQueue::Heap(h) => h.push(Reverse(ev)),
-            EventQueue::Calendar(c) => c.push(ev),
-        }
-    }
-
-    #[inline]
-    fn pop(&mut self) -> Option<Event> {
-        match self {
-            EventQueue::Heap(h) => h.pop().map(|Reverse(ev)| ev),
-            EventQueue::Calendar(c) => c.pop(),
-        }
-    }
-
-    #[inline]
-    fn peek(&mut self) -> Option<&Event> {
-        match self {
-            EventQueue::Heap(h) => h.peek().map(|Reverse(ev)| ev),
-            EventQueue::Calendar(c) => c.peek(),
-        }
-    }
-}
-
 /// What a rank is blocked on.  Notification waits borrow their id list
 /// straight from the compiled program's arena — blocking allocates nothing.
 #[derive(Debug, Clone, Copy)]
@@ -685,7 +577,7 @@ impl Blocked<'_> {
     fn describe(&self) -> String {
         match self {
             Blocked::Recv { src, tag } => format!("recv from {src} tag {tag}"),
-            Blocked::Notify { ids, count } => format!("waiting for {count} of notifications {ids:?}"),
+            Blocked::Notify { ids, count } => semantics::describe_wait(*ids, *count),
             Blocked::SendTxDone { msg } => format!("blocking send, message {msg}"),
             Blocked::WaitAllSends => "waiting for outstanding sends".to_owned(),
             Blocked::Barrier => "barrier".to_owned(),
@@ -814,8 +706,6 @@ struct RankSim<'a> {
     outstanding_sends: usize,
     /// Earliest time this rank's injection path is free again.
     tx_free: f64,
-    /// Duration multiplier for this rank's local operations (scenario).
-    compute_scale: f64,
     stats: RankStats,
 }
 
@@ -830,7 +720,6 @@ impl RankSim<'_> {
             pending_rndv: HashMap::new(),
             outstanding_sends: 0,
             tx_free: 0.0,
-            compute_scale,
             stats: RankStats { compute_scale, ..RankStats::default() },
         }
     }
@@ -840,12 +729,11 @@ struct Sim<'a> {
     cluster: &'a ClusterSpec,
     cost: &'a CostModel,
     program: &'a CompiledProgram,
-    tracing: bool,
-    scenario: Option<ScenarioInstance>,
+    scenario: Option<&'a ScenarioInstance>,
     now: f64,
     seq: u64,
     next_msg: MsgId,
-    events: EventQueue,
+    events: CalendarQueue<Event>,
     ranks: Vec<RankSim<'a>>,
     /// Dense notification counters (notify id -> unconsumed arrivals) for all
     /// ranks, flattened into one allocation; rank `r`'s counters live at
@@ -858,8 +746,8 @@ struct Sim<'a> {
     /// for their one-sided puts (borrowed from the compiled program's
     /// profile).
     tracks_put_tx: &'a [bool],
-    node_tx_free: Vec<f64>,
-    node_rx_free: Vec<f64>,
+    /// Alpha-beta pricing of every transfer the fabric does not carry.
+    wire: Wire<'a>,
     barrier_arrived: Vec<Option<f64>>,
     /// Contention backend — flow-level solver or per-packet simulator
     /// (None: the alpha-beta path prices all inter-node transfers).
@@ -872,30 +760,8 @@ struct Sim<'a> {
     /// (recycled across ticks).
     completed_buf: Vec<FlowId>,
     meta_buf: Vec<FlowMeta>,
-    trace: Vec<TraceEvent>,
-    /// Which ranks' events the trace keeps (`TraceFilter::all()` untraced).
-    filter: TraceFilter,
-    /// Per-rank sequence counters for a rank's own events (empty untraced).
-    trace_seq: Vec<u64>,
-    /// Per-destination counters for the arrival sequence channel
-    /// (`ARRIVAL_SEQ | n`; empty untraced).
-    arrival_seq: Vec<u64>,
-    /// Per-source counters minting trace flow ids (empty untraced).
-    flow_seq: Vec<u64>,
+    trace: Tracer,
     metrics: EngineMetrics,
-}
-
-/// Timing of one alpha-beta transfer (see `Sim::schedule_wire`).
-#[derive(Debug, Clone, Copy)]
-struct WireTiming {
-    /// When the sender's NIC is released.
-    tx_done: f64,
-    /// When the last byte lands in the receiver's memory.
-    delivered: f64,
-    /// NIC queueing between injection and transmission (tx + rx side).
-    queue: f64,
-    /// Serialization (wire) time.
-    ser: f64,
 }
 
 /// The typed trace reason of a blocked state.
@@ -910,22 +776,20 @@ fn block_reason(b: &Blocked<'_>) -> BlockReason {
 }
 
 impl<'a> Sim<'a> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         cluster: &'a ClusterSpec,
         cost: &'a CostModel,
         program: &'a CompiledProgram,
         tracing: bool,
         filter: TraceFilter,
-        scenario: Option<ScenarioInstance>,
+        scenario: Option<&'a ScenarioInstance>,
         fabric: Option<NetSim>,
-        scheduler: SchedulerKind,
     ) -> Self {
         let profile = program.profile();
         let n = program.num_ranks();
         let ranks = (0..n)
             .map(|r| {
-                let scale = scenario.as_ref().map_or(1.0, |s| s.compute_scale(cluster.node_of(r)));
+                let scale = scenario.map_or(1.0, |s| s.compute_scale(cluster.node_of(r)));
                 RankSim::new(scale)
             })
             .collect();
@@ -940,7 +804,6 @@ impl<'a> Sim<'a> {
             cluster,
             cost,
             program,
-            tracing,
             scenario,
             now: 0.0,
             seq: 0,
@@ -951,24 +814,19 @@ impl<'a> Sim<'a> {
             // the smallest link latency — the natural spacing between a
             // transfer's injection and its delivery, so a bucket holds about
             // one wave of events.
-            events: EventQueue::new(scheduler, cost.alpha_intra.min(cost.alpha_inter), 4 * n + 64),
+            events: CalendarQueue::new(cost.alpha_intra.min(cost.alpha_inter), 4 * n + 64),
             ranks,
             notify_counts: vec![0; acc],
             notify_off,
             tracks_put_tx: &profile.waits_sends,
-            node_tx_free: vec![0.0; cluster.nodes],
-            node_rx_free: vec![0.0; cluster.nodes],
+            wire: Wire::new(cluster, cost, scenario),
             barrier_arrived: vec![None; n],
             inject: if fabric.is_some() { (0..n).map(|_| InjectQueue::default()).collect() } else { Vec::new() },
             fabric,
             flow_meta: Vec::new(),
             completed_buf: Vec::new(),
             meta_buf: Vec::new(),
-            trace: Vec::new(),
-            filter,
-            trace_seq: if tracing { vec![0; n] } else { Vec::new() },
-            arrival_seq: if tracing { vec![0; n] } else { Vec::new() },
-            flow_seq: if tracing { vec![0; n] } else { Vec::new() },
+            trace: Tracer::new(tracing, filter, n),
             metrics: EngineMetrics::default(),
         }
     }
@@ -978,45 +836,6 @@ impl<'a> Sim<'a> {
         self.seq += 1;
         self.metrics.events_scheduled += 1;
         self.events.push(Event { time, seq, rank, kind });
-    }
-
-    /// Record an event on `rank`'s own sequence channel.  The counter
-    /// advances even for filtered-out ranks, so a windowed trace is a
-    /// strict subset of the full one.
-    fn trace_own(&mut self, time: f64, rank: RankId, kind: TraceKind, op_index: Option<usize>, detail: TraceDetail) {
-        if !self.tracing {
-            return;
-        }
-        let seq = self.trace_seq[rank];
-        self.trace_seq[rank] += 1;
-        if self.filter.keeps(rank) {
-            self.trace.push(TraceEvent::new(time, rank, kind, op_index, seq, detail));
-        }
-    }
-
-    /// Record a message arrival on the destination's arrival sequence
-    /// channel.  Arrivals are emitted (future-dated) when their timing is
-    /// decided, not when the event fires; the post-run sort merges them
-    /// into canonical order.
-    fn trace_arrival(&mut self, time: f64, dst: RankId, kind: TraceKind, detail: TraceDetail) {
-        if !self.tracing {
-            return;
-        }
-        let seq = ARRIVAL_SEQ | self.arrival_seq[dst];
-        self.arrival_seq[dst] += 1;
-        if self.filter.keeps(dst) {
-            self.trace.push(TraceEvent::new(time, dst, kind, None, seq, detail));
-        }
-    }
-
-    /// Mint a flow id pairing an injection with its arrival (0 untraced).
-    fn next_flow(&mut self, src: RankId) -> u64 {
-        if !self.tracing {
-            return 0;
-        }
-        let c = self.flow_seq[src];
-        self.flow_seq[src] += 1;
-        ((src as u64) << 32) | c
     }
 
     fn run(mut self) -> Result<RunReport, SimError> {
@@ -1039,7 +858,7 @@ impl<'a> Sim<'a> {
                 EventKind::Delivered { src, tag, bytes, msg } => {
                     self.on_delivered(ev.rank, src, tag, bytes, msg, ev.time);
                 }
-                EventKind::NotifyVisible { notify, bytes } => self.on_notify(ev.rank, notify, bytes, ev.time),
+                EventKind::NotifyVisible { notify } => self.on_notify(ev.rank, notify, ev.time),
                 EventKind::TxDone { msg } => self.on_tx_done(ev.rank, msg, ev.time),
                 EventKind::FlowLaunch => self.on_flow_launch(ev.rank, ev.time),
                 EventKind::FabricTick { epoch } => self.on_fabric_tick(epoch, ev.time),
@@ -1073,9 +892,7 @@ impl<'a> Sim<'a> {
             }
             None => {}
         }
-        if let EventQueue::Calendar(c) = &self.events {
-            self.metrics.calendar_bucket_sorts = c.sorts();
-        }
+        self.metrics.calendar_bucket_sorts = self.events.sorts();
         let links = match &self.fabric {
             Some(NetSim::Flow(f)) => f
                 .usage()
@@ -1113,7 +930,7 @@ impl<'a> Sim<'a> {
             None => Vec::new(),
         };
         let ranks = self.ranks.into_iter().map(|r| r.stats).collect();
-        let mut trace = self.trace;
+        let mut trace = self.trace.into_events();
         sort_trace(&mut trace);
         self.metrics.trace_events = trace.len() as u64;
         Ok(RunReport { ranks, links, trace, summary: None, metrics: self.metrics })
@@ -1131,13 +948,13 @@ impl<'a> Sim<'a> {
         let op_index = r.pc;
         r.pc += 1;
         let detail = reason.map_or(TraceDetail::None, |reason| TraceDetail::Block { reason });
-        self.trace_own(at, rank, TraceKind::BlockEnd, Some(op_index), detail);
+        self.trace.own(at, rank, TraceKind::BlockEnd, Some(op_index), detail);
         self.push_event(at, rank, EventKind::Resume);
     }
 
     fn block(&mut self, rank: RankId, at: f64, why: Blocked<'a>) {
         let pc = self.ranks[rank].pc;
-        self.trace_own(at, rank, TraceKind::BlockStart, Some(pc), TraceDetail::Block { reason: block_reason(&why) });
+        self.trace.own(at, rank, TraceKind::BlockStart, Some(pc), TraceDetail::Block { reason: block_reason(&why) });
         let r = &mut self.ranks[rank];
         r.blocked = Some(why);
         r.blocked_since = at;
@@ -1161,17 +978,12 @@ impl<'a> Sim<'a> {
             return;
         }
         let op = view.op(pc);
-        self.trace_own(t, rank, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
+        self.trace.own(t, rank, TraceKind::OpStart, Some(pc), TraceDetail::Op { op: op.class() });
         self.ranks[rank].stats.finish_time = self.ranks[rank].stats.finish_time.max(t);
         match op {
-            OpView::Compute { seconds } => self.finish_local(rank, t, seconds.max(0.0)),
-            OpView::Reduce { bytes } => {
-                let d = self.cost.reduce_time(bytes);
-                self.finish_local(rank, t, d);
-            }
-            OpView::Copy { bytes } => {
-                let d = self.cost.copy_time(bytes);
-                self.finish_local(rank, t, d);
+            OpView::Compute { .. } | OpView::Reduce { .. } | OpView::Copy { .. } => {
+                let end = semantics::local_op(self.cost, op, t, &mut self.ranks[rank].stats);
+                self.advance(rank, end);
             }
             OpView::PutNotify { dst, bytes, notify } => {
                 let launch = t + self.cost.o_send;
@@ -1203,21 +1015,13 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// A purely local operation of nominal duration `d`, scaled by the rank's
-    /// scenario compute factor, finishing at `t + d * scale`.
-    fn finish_local(&mut self, rank: RankId, t: f64, d: f64) {
-        let d = d * self.ranks[rank].compute_scale;
-        self.ranks[rank].stats.compute_time += d;
-        self.advance(rank, t + d);
-    }
-
     /// Advance the program counter and schedule the next step at `at`.
     fn advance(&mut self, rank: RankId, at: f64) {
         let r = &mut self.ranks[rank];
         let op_index = r.pc;
         r.pc += 1;
         r.stats.finish_time = r.stats.finish_time.max(at);
-        self.trace_own(at, rank, TraceKind::OpEnd, Some(op_index), TraceDetail::None);
+        self.trace.own(at, rank, TraceKind::OpEnd, Some(op_index), TraceDetail::None);
         self.push_event(at, rank, EventKind::Resume);
     }
 
@@ -1232,9 +1036,9 @@ impl<'a> Sim<'a> {
     /// Schedule a one-sided put (or a zero-byte notification) from `src` to
     /// `dst`, injected no earlier than `earliest`.
     fn schedule_put(&mut self, src: RankId, dst: RankId, bytes: u64, notify: NotifyId, earliest: f64) {
-        let same = self.cluster.same_node(src, dst);
         let label = MsgLabel::Notify(notify);
-        if self.fabric.is_some() && !same {
+        let flow = self.trace.inject(earliest, src, dst, bytes, label);
+        if self.fabric.is_some() && !self.cluster.same_node(src, dst) {
             let msg = if bytes > 0 && self.tracks_put_tx[src] {
                 let msg = self.alloc_msg();
                 self.ranks[src].outstanding_sends += 1;
@@ -1242,137 +1046,57 @@ impl<'a> Sim<'a> {
             } else {
                 None
             };
-            let flow = self.next_flow(src);
-            self.trace_own(
-                earliest,
-                src,
-                TraceKind::MsgInjected,
-                None,
-                TraceDetail::Inject { dst, bytes, label, flow },
-            );
             self.fabric_transfer(src, dst, bytes, 1.0, earliest, FlowKind::Put { notify, msg }, flow);
             return;
         }
-        let beta = self.cost.beta_one_sided(same);
-        let w = self.schedule_wire(src, dst, bytes, beta, same, earliest);
+        let w = self.alpha_beta(src, dst, bytes, false, earliest);
         let visible = w.delivered + self.cost.notify_overhead;
-        self.ranks[src].stats.bytes_sent += bytes;
-        self.ranks[src].stats.messages_sent += 1;
         // The TxDone event only feeds `WaitAllSends` accounting; ranks that
-        // never wait for send completion skip it (and the heap traffic).
+        // never wait for send completion skip it (and the queue traffic).
         if self.tracks_put_tx[src] {
             let msg = self.alloc_msg();
             self.ranks[src].outstanding_sends += 1;
             self.push_event(w.tx_done, src, EventKind::TxDone { msg });
         }
-        self.push_event(visible, dst, EventKind::NotifyVisible { notify, bytes });
-        if self.tracing {
-            let flow = self.next_flow(src);
-            self.trace_own(
-                earliest,
-                src,
-                TraceKind::MsgInjected,
-                None,
-                TraceDetail::Inject { dst, bytes, label, flow },
-            );
-            self.trace_arrival(
-                visible,
-                dst,
-                TraceKind::NotifyVisible,
-                TraceDetail::Arrival { src, bytes, label, flow, inject: earliest, queue: w.queue, wire: w.ser },
-            );
-        }
+        self.push_event(visible, dst, EventKind::NotifyVisible { notify });
+        self.trace.arrival(
+            visible,
+            dst,
+            TraceKind::NotifyVisible,
+            TraceDetail::Arrival { src, bytes, label, flow, inject: earliest, queue: w.queue, wire: w.ser },
+        );
     }
 
     /// Schedule a two-sided transfer from `src` to `dst`.
     fn schedule_two_sided(&mut self, src: RankId, dst: RankId, bytes: u64, tag: Tag, earliest: f64, msg: MsgId) {
-        let same = self.cluster.same_node(src, dst);
         let label = MsgLabel::Tag(tag);
-        if self.fabric.is_some() && !same {
+        let flow = self.trace.inject(earliest, src, dst, bytes, label);
+        if self.fabric.is_some() && !self.cluster.same_node(src, dst) {
             let penalty = self.cost.two_sided_bw_penalty.max(1.0);
-            let flow = self.next_flow(src);
-            self.trace_own(
-                earliest,
-                src,
-                TraceKind::MsgInjected,
-                None,
-                TraceDetail::Inject { dst, bytes, label, flow },
-            );
             self.fabric_transfer(src, dst, bytes, penalty, earliest, FlowKind::TwoSided { tag, msg }, flow);
             return;
         }
-        let beta = self.cost.beta_two_sided(same);
-        let w = self.schedule_wire(src, dst, bytes, beta, same, earliest);
-        self.ranks[src].stats.bytes_sent += bytes;
-        self.ranks[src].stats.messages_sent += 1;
+        let w = self.alpha_beta(src, dst, bytes, true, earliest);
         self.push_event(w.tx_done, src, EventKind::TxDone { msg });
         self.push_event(w.delivered, dst, EventKind::Delivered { src, tag, bytes, msg });
-        if self.tracing {
-            let flow = self.next_flow(src);
-            self.trace_own(
-                earliest,
-                src,
-                TraceKind::MsgInjected,
-                None,
-                TraceDetail::Inject { dst, bytes, label, flow },
-            );
-            self.trace_arrival(
-                w.delivered,
-                dst,
-                TraceKind::MsgDelivered,
-                TraceDetail::Arrival { src, bytes, label, flow, inject: earliest, queue: w.queue, wire: w.ser },
-            );
-        }
+        self.trace.arrival(
+            w.delivered,
+            dst,
+            TraceKind::MsgDelivered,
+            TraceDetail::Arrival { src, bytes, label, flow, inject: earliest, queue: w.queue, wire: w.ser },
+        );
     }
 
-    /// Common wire timing: when the sender's NIC is released, when the last
-    /// byte lands in the receiver's memory, and the trace decomposition of
-    /// the transfer (NIC queueing, serialization).
-    fn schedule_wire(
-        &mut self,
-        src: RankId,
-        dst: RankId,
-        bytes: u64,
-        beta: f64,
-        same_node: bool,
-        earliest: f64,
-    ) -> WireTiming {
-        let src_node = self.cluster.node_of(src);
-        let dst_node = self.cluster.node_of(dst);
-        let mut ser = self.cost.serialization(bytes, beta);
-        let mut alpha = self.cost.alpha(same_node);
-        if let Some(inst) = &self.scenario {
-            alpha *= inst.link_alpha_scale(src_node, dst_node);
-            ser *= inst.link_beta_scale(src_node, dst_node);
-        }
-        let mut tx_start = earliest.max(self.ranks[src].tx_free);
-        if !same_node {
-            tx_start = tx_start.max(self.node_tx_free[src_node]);
-        }
-        let tx_done = tx_start + ser;
-        self.ranks[src].tx_free = tx_done;
-        if !same_node {
-            self.node_tx_free[src_node] = tx_done;
-        }
-        // Cut-through delivery: the head arrives after `alpha`, the receiver
-        // NIC then needs the serialization time; inter-node messages also
-        // queue behind other traffic into the destination node.
-        let mut rx_start = tx_start + alpha;
-        if !same_node {
-            rx_start = rx_start.max(self.node_rx_free[dst_node]);
-        }
-        let delivered = rx_start + ser;
-        if !same_node {
-            self.node_rx_free[dst_node] = delivered;
-        }
-        self.ranks[dst].stats.bytes_received += bytes;
-        self.ranks[dst].stats.messages_received += 1;
-        // NIC queueing: the injection wait behind earlier traffic plus the
-        // receive-side wait behind the destination node's inbound traffic.
-        // Everything else in `delivered - earliest` is serialization and
-        // alpha, so the arrival decomposition telescopes exactly.
-        let queue = (tx_start - earliest) + (rx_start - (tx_start + alpha));
-        WireTiming { tx_done, delivered, queue, ser }
+    /// Price a transfer on the alpha-beta wire and account it to both ends.
+    fn alpha_beta(&mut self, src: RankId, dst: RankId, bytes: u64, two_sided: bool, earliest: f64) -> WireTiming {
+        let w = self.wire.transfer(src, dst, bytes, two_sided, earliest, &mut self.ranks[src].tx_free);
+        let sender = &mut self.ranks[src].stats;
+        sender.bytes_sent += bytes;
+        sender.messages_sent += 1;
+        let receiver = &mut self.ranks[dst].stats;
+        receiver.bytes_received += bytes;
+        receiver.messages_received += 1;
+        w
     }
 
     // -- fabric (flow-level contention) path --------------------------------
@@ -1410,8 +1134,8 @@ impl<'a> Sim<'a> {
                 FlowKind::Put { notify, msg } => {
                     debug_assert!(msg.is_none(), "zero-byte puts are never tracked");
                     let visible = earliest + alpha + self.cost.notify_overhead;
-                    self.push_event(visible, dst, EventKind::NotifyVisible { notify, bytes: 0 });
-                    self.trace_arrival(
+                    self.push_event(visible, dst, EventKind::NotifyVisible { notify });
+                    self.trace.arrival(
                         visible,
                         dst,
                         TraceKind::NotifyVisible,
@@ -1430,7 +1154,7 @@ impl<'a> Sim<'a> {
                     self.push_event(earliest, src, EventKind::TxDone { msg });
                     let delivered = earliest + alpha;
                     self.push_event(delivered, dst, EventKind::Delivered { src, tag, bytes: 0, msg });
-                    self.trace_arrival(
+                    self.trace.arrival(
                         delivered,
                         dst,
                         TraceKind::MsgDelivered,
@@ -1542,7 +1266,7 @@ impl<'a> Sim<'a> {
             self.meta_buf.push(meta);
         }
         // Indexed on purpose: iterating `meta_buf` would hold a borrow of
-        // `self` across the `push_event`/`trace_arrival` calls below.
+        // `self` across the `push_event`/`trace.arrival` calls below.
         #[allow(clippy::needless_range_loop)]
         for i in 0..self.meta_buf.len() {
             let meta = self.meta_buf[i];
@@ -1567,8 +1291,8 @@ impl<'a> Sim<'a> {
                         self.push_event(t, meta.src, EventKind::TxDone { msg });
                     }
                     let visible = t + meta.alpha + self.cost.notify_overhead;
-                    self.push_event(visible, meta.dst, EventKind::NotifyVisible { notify, bytes: meta.bytes });
-                    self.trace_arrival(
+                    self.push_event(visible, meta.dst, EventKind::NotifyVisible { notify });
+                    self.trace.arrival(
                         visible,
                         meta.dst,
                         TraceKind::NotifyVisible,
@@ -1591,7 +1315,7 @@ impl<'a> Sim<'a> {
                         meta.dst,
                         EventKind::Delivered { src: meta.src, tag, bytes: meta.bytes, msg },
                     );
-                    self.trace_arrival(
+                    self.trace.arrival(
                         delivered,
                         meta.dst,
                         TraceKind::MsgDelivered,
@@ -1714,44 +1438,18 @@ impl<'a> Sim<'a> {
         }
     }
 
-    /// If at least `count` of `ids` have unconsumed arrivals, consume exactly
-    /// `count` arrivals — one from each of the first `count` available ids in
-    /// listed order — and return true.  Arrivals beyond `count` are left for
-    /// later waits: a `WaitNotifyAny { count }` must never drain ids a
-    /// subsequent wait depends on.
+    /// Apply the wait rule ([`semantics::consume_wait`]) to `rank`'s
+    /// notification counters.
     fn consume_notifications(&mut self, rank: RankId, ids: IdsRef<'_>, count: usize) -> bool {
-        let need = count.min(ids.len());
         let counts = &mut self.notify_counts[self.notify_off[rank]..self.notify_off[rank + 1]];
-        let available = ids.iter().filter(|&id| counts.get(id as usize).is_some_and(|&c| c > 0)).count();
-        if available < need {
-            return false;
-        }
-        let mut taken = 0usize;
-        for id in ids.iter() {
-            if taken == need {
-                break;
-            }
-            let c = &mut counts[id as usize];
-            if *c > 0 {
-                *c -= 1;
-                taken += 1;
-            }
-        }
-        self.ranks[rank].stats.notifications_consumed += taken as u64;
-        true
+        semantics::consume_counts(counts, ids, count, &mut self.ranks[rank].stats)
     }
 
-    fn on_notify(&mut self, rank: RankId, notify: NotifyId, bytes: u64, t: f64) {
+    fn on_notify(&mut self, rank: RankId, notify: NotifyId, t: f64) {
         // The NotifyVisible trace event was emitted (future-dated) when the
         // put was scheduled, together with its timing decomposition.
-        let _ = bytes;
         let counts = &mut self.notify_counts[self.notify_off[rank]..self.notify_off[rank + 1]];
-        // An arrival no listed wait can reference may exceed this rank's
-        // dense range; it can never satisfy a wait, so only count it.
-        if let Some(c) = counts.get_mut(notify as usize) {
-            *c += 1;
-        }
-        self.ranks[rank].stats.notifications_received += 1;
+        semantics::note_arrival(counts, &mut self.ranks[rank].stats, notify);
         let satisfied = match self.ranks[rank].blocked {
             Some(Blocked::Notify { ids, count }) => self.consume_notifications(rank, ids, count),
             _ => false,
@@ -1795,6 +1493,7 @@ impl<'a> Sim<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyze::AnalysisError;
     use crate::program::ProgramBuilder;
 
     fn engine(nodes: usize, ppn: usize) -> Engine {
@@ -2352,7 +2051,7 @@ mod tests {
         assert!(matches!(err, SimError::BadTopology(_)));
     }
 
-    // -- scheduler, dataflow fast path and sharded execution ----------------
+    // -- dataflow fast path and sharded execution ---------------------------
 
     /// Shifted ring: every round, rank `r` puts to `r + 1` and waits for the
     /// round's notification from `r - 1`.  Each destination has exactly one
@@ -2393,7 +2092,7 @@ mod tests {
     fn dataflow_fast_path_matches_the_strict_engine() {
         let p = ring_rounds_program(16, 5, 4096);
         let fast = engine(16, 1).run(&p).unwrap();
-        let strict = engine(16, 1).with_scheduler(SchedulerKind::BinaryHeap).run(&p).unwrap();
+        let strict = engine(16, 1).run_strict(&p).unwrap();
         assert_eq!(fast.ranks, strict.ranks, "burst execution must reproduce the event loop's accounting");
     }
 
@@ -2402,7 +2101,7 @@ mod tests {
         let p = ring_rounds_program(8, 3, 1 << 16);
         let s = Scenario::new(13).with_compute_jitter(0.3).with_link_jitter(0.2, 0.2).with_stragglers(0.25, 3.0);
         let fast = engine(8, 1).with_scenario(s.clone()).run(&p).unwrap();
-        let strict = engine(8, 1).with_scenario(s).with_scheduler(SchedulerKind::BinaryHeap).run(&p).unwrap();
+        let strict = engine(8, 1).with_scenario(s).run_strict(&p).unwrap();
         assert_eq!(fast.ranks, strict.ranks);
         assert!(fast.max_compute_scale() > 1.0, "the straggler scenario must actually perturb the run");
     }
@@ -2424,45 +2123,65 @@ mod tests {
 
     #[test]
     fn strict_fallback_is_bit_identical_across_shard_counts_on_alltoall() {
-        // Satellite: p = 256 all-to-all is multi-writer, so every shard count
-        // takes the strict event loop; the tie-break key (time, rank, seq)
-        // makes the replay byte-identical regardless of the requested shards.
+        // p = 256 all-to-all is multi-writer, so every shard count takes the
+        // strict event loop (no op runs on the dataflow path); the tie-break
+        // key (time, rank, seq) makes the replay byte-identical regardless
+        // of the requested shards.
         let p = alltoall_program(256, 256);
         let baseline = engine(256, 1).with_shards(1).run(&p).unwrap();
+        assert_eq!(baseline.metrics.dataflow_burst_ops, 0);
         for shards in [2usize, 8] {
             let r = engine(256, 1).with_shards(shards).run(&p).unwrap();
+            assert_eq!(r.metrics.dataflow_burst_ops, 0, "shards={shards}");
             assert_eq!(r.fingerprint(), baseline.fingerprint(), "shards={shards}");
         }
         assert_eq!(baseline.total_notifications_consumed(), 256 * 255);
     }
 
-    #[test]
-    fn sharded_alltoall_matches_both_schedulers() {
-        let p = alltoall_program(32, 512);
-        let cal = engine(32, 1).run(&p).unwrap();
-        let heap = engine(32, 1).with_scheduler(SchedulerKind::BinaryHeap).run(&p).unwrap();
-        assert_eq!(cal, heap, "calendar queue and binary heap must order events identically");
-    }
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
 
-    #[test]
-    fn calendar_and_heap_agree_on_two_sided_barrier_fabric_programs() {
-        let cost = CostModel::test_model();
-        let nic = 1.0 / cost.beta_inter;
-        let mut b = ProgramBuilder::new(4);
-        b.send(0, 1, 4 << 20, 1); // rendezvous
-        b.recv(1, 0, 4 << 20, 1);
-        b.send(2, 3, 256, 2); // eager
-        b.recv(3, 2, 256, 2);
-        b.barrier_all();
-        b.put_notify(0, 3, 1 << 18, 9);
-        b.wait_notify(3, &[9]);
-        let p = b.build();
-        let mk =
-            |s: SchedulerKind| fabric_engine(4, 1, Topology::single_switch(4, nic)).with_scheduler(s).run(&p).unwrap();
-        let cal = mk(SchedulerKind::CalendarQueue);
-        let heap = mk(SchedulerKind::BinaryHeap);
-        assert_eq!(cal, heap);
-        assert!(!cal.links.is_empty());
+        /// The dataflow path (with rank sharding) and the strict event loop
+        /// produce identical per-rank reports on random valid programs —
+        /// with and without a fabric topology.  A per-round communication
+        /// stride drawn from the seed makes some programs single-writer
+        /// (eligible for the dataflow path) and others multi-writer (strict
+        /// event loop either way).
+        #[test]
+        fn dataflow_and_strict_agree_on_random_programs(
+            p in proptest::prelude::Strategy::prop_map(0usize..3, |i| [4, 16, 64][i]),
+            rounds in 1usize..4,
+            kb in 1u64..64,
+            seed in 0u64..10_000,
+            fabric_sel in 0usize..2,
+            shards in 1usize..5,
+        ) {
+            let with_fabric = fabric_sel == 1;
+            let bytes = kb * 1024;
+            let mut rng = crate::scenario::SplitMix64::new(seed);
+            let mut b = ProgramBuilder::new(p);
+            for k in 0..rounds {
+                let stride = 1 + rng.next_below(p - 1);
+                for r in 0..p {
+                    b.compute(r, 1e-6 * (1 + rng.next_below(9)) as f64);
+                    b.put_notify(r, (r + stride) % p, bytes, k as u32);
+                }
+                for r in 0..p {
+                    b.wait_notify(r, &[k as u32]);
+                }
+            }
+            let prog = b.build();
+            proptest::prop_assert!(crate::validate::validate(&prog, p).is_ok());
+            let base = || {
+                let e = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::skylake_fdr());
+                if with_fabric { e.with_topology(Topology::single_switch(p, 1e9)) } else { e }
+            };
+            let auto = base().with_shards(shards).run(&prog).unwrap();
+            let strict = base().run_strict(&prog).unwrap();
+            proptest::prop_assert_eq!(strict.metrics.dataflow_burst_ops, 0);
+            proptest::prop_assert_eq!(auto.total_notifications_received(), (p * rounds) as u64);
+            proptest::prop_assert_eq!(&auto.ranks, &strict.ranks);
+        }
     }
 
     #[test]
@@ -2499,8 +2218,17 @@ mod tests {
         b.wait_notify_any(1, &[2, 0, 1], 2);
         b.wait_notify(1, &[1]);
         let batched = b.build();
+        // The analyzer never contradicts the engine.  It certifies the
+        // batched program deadlock-free.  In the incremental one the
+        // any-wait's pick depends on arrival timing, which the timeless
+        // analysis does not model: it reports the consumption races and an
+        // order-dependent deadlock, never a certain one.
+        assert!(crate::analyze::analyze(&batched).unwrap().is_deadlock_free());
+        let report = crate::analyze::analyze(&incremental).unwrap();
+        assert!(report.errors.iter().any(|e| matches!(e, AnalysisError::ConsumptionRace { .. })));
+        assert!(report.errors.iter().all(|e| !matches!(e, AnalysisError::Deadlock { certain: true, .. })));
         for p in [&incremental, &batched] {
-            let strict = engine(2, 1).with_scheduler(SchedulerKind::BinaryHeap).run(p).unwrap();
+            let strict = engine(2, 1).run_strict(p).unwrap();
             assert_eq!(strict.ranks[1].notifications_consumed, 3);
             for shards in [1usize, 2] {
                 let r = engine(2, 1).with_shards(shards).run(p).unwrap();
@@ -2546,7 +2274,7 @@ mod tests {
         assert!(!traced.trace.is_empty(), "burst path must emit trace events");
         assert!(traced.metrics.dataflow_burst_ops > 0, "tracing must not evict the run from the dataflow path");
         assert_eq!(fast.ranks, traced.ranks, "tracing must not change the timings");
-        let strict = engine(8, 1).with_scheduler(SchedulerKind::BinaryHeap).with_trace(true).run(&p).unwrap();
+        let strict = engine(8, 1).with_trace(true).run_strict(&p).unwrap();
         assert_eq!(strict.metrics.dataflow_burst_ops, 0);
         assert_eq!(traced.trace, strict.trace, "burst-path trace must match the strict engine event-for-event");
     }

@@ -70,6 +70,7 @@ pub mod program;
 pub mod report;
 pub mod routing;
 pub mod scenario;
+mod semantics;
 pub mod source;
 pub mod topology;
 pub mod trace;
@@ -81,7 +82,7 @@ pub use compiled::{CompileOptions, CompiledProgram, IdsRef, MemoryStats, OpView,
 pub use congcontrol::{CongAlg, CongControl, Dcqcn, FixedWindow};
 pub use cost::{CostModel, Protocol};
 pub use critpath::{Category, CategoryBreakdown, CriticalPath, PathSegment, SegmentKind};
-pub use engine::{Engine, NetworkModel, SchedulerKind, SimError};
+pub use engine::{Engine, NetworkModel, SimError};
 pub use fabric::{Fabric, FlowId, LinkUsage};
 pub use metrics::EngineMetrics;
 pub use packet::{LossConfig, PacketConfig, PacketFabric, PacketLinkUsage, PacketTotals, PfcConfig};

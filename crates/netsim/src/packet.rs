@@ -580,7 +580,7 @@ impl PacketFabric {
                 PEventKind::SerDone { link } => self.ser_done(link as usize, ev.time),
                 PEventKind::Arrive { link, pkt } => self.arrive(link as usize, pkt, ev.time),
                 PEventKind::Ack { msg, gen, acked, marked, nack } => {
-                    self.on_ack(msg, gen, acked, marked, nack, ev.time)
+                    self.on_ack(msg, gen, acked, marked, nack, ev.time);
                 }
                 PEventKind::Rto { msg, gen } => self.on_rto(msg, gen, ev.time),
             }

@@ -441,8 +441,7 @@ mod tests {
   "simulated_ops_per_sec": 38000000,
   "simulated_ops_per_sec_shards_2": 18000000,
   "simulated_ops_per_sec_shards_4": 17000000,
-  "simulated_ops_per_sec_shards_8": 16000000,
-  "legacy_heap_ops_per_sec": 3300000
+  "simulated_ops_per_sec_shards_8": 16000000
 }"#;
         let regressed_shard =
             base.replace("\"simulated_ops_per_sec_shards_4\": 17000000", "\"simulated_ops_per_sec_shards_4\": 9000000");
