@@ -41,6 +41,9 @@ pub enum MpiError {
         /// Elements the sender shipped.
         got: usize,
     },
+    /// The world cannot perform this operation (a world-wide barrier asked
+    /// of a sub-world).
+    Unsupported(&'static str),
 }
 
 impl std::fmt::Display for MpiError {
@@ -52,6 +55,7 @@ impl std::fmt::Display for MpiError {
             MpiError::LengthMismatch { expected, got } => {
                 write!(f, "received {got} elements where the posted buffer range holds {expected}")
             }
+            MpiError::Unsupported(op) => write!(f, "{op} is not supported by this world"),
         }
     }
 }
@@ -60,6 +64,9 @@ impl std::error::Error for MpiError {}
 
 /// Result alias.
 pub type Result<T> = std::result::Result<T, MpiError>;
+
+/// Tag reserved for the messages of [`MpiComm::barrier`].
+const BARRIER_TAG: Tag = Tag::MAX;
 
 #[derive(Debug)]
 struct Envelope {
@@ -139,6 +146,25 @@ impl MpiComm {
     pub fn sendrecv(&mut self, dst: Rank, send_tag: Tag, data: &[f64], src: Rank, recv_tag: Tag) -> Result<Vec<f64>> {
         self.send(dst, send_tag, data)?;
         self.recv(src, recv_tag)
+    }
+
+    /// Block until every rank of the world has entered the barrier.
+    ///
+    /// A dissemination barrier: in round `k` every rank signals
+    /// `rank + 2^k` and waits for `rank - 2^k`, so after `ceil(log2 P)`
+    /// rounds each rank has transitively heard from all others.  The
+    /// signals are empty messages on the reserved tag `Tag::MAX`; FIFO
+    /// matching keeps back-to-back barriers apart, and the receive timeout
+    /// turns a rank that never arrives into [`MpiError::Timeout`] instead of
+    /// a hang.
+    pub fn barrier(&mut self) -> Result<()> {
+        let mut distance = 1;
+        while distance < self.size {
+            self.send((self.rank + distance) % self.size, BARRIER_TAG, &[])?;
+            self.recv((self.rank + self.size - distance) % self.size, BARRIER_TAG)?;
+            distance <<= 1;
+        }
+        Ok(())
     }
 }
 
@@ -263,6 +289,24 @@ mod tests {
         });
         assert_eq!(out[0], vec![1.0; 3]);
         assert_eq!(out[1], vec![0.0; 3]);
+    }
+
+    #[test]
+    fn barrier_holds_every_rank_until_the_last_arrives() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let p = 5;
+        let arrived = AtomicUsize::new(0);
+        let seen = MpiWorld::new(p).run(|comm| {
+            let mut seen = Vec::new();
+            for round in 1..=3 {
+                arrived.fetch_add(1, Ordering::SeqCst);
+                comm.barrier().unwrap();
+                // Nobody leaves barrier `round` before all P ranks entered it.
+                seen.push(arrived.load(Ordering::SeqCst) >= round * p);
+            }
+            seen
+        });
+        assert!(seen.iter().flatten().all(|&ok| ok));
     }
 
     #[test]

@@ -6,22 +6,25 @@
 //! and the default `MPI_Alltoall`.  This crate implements those baselines
 //! from scratch so the comparison can be reproduced:
 //!
-//! * a small **threaded two-sided runtime** ([`comm`]) with blocking
-//!   send/receive and tag matching, on which reference implementations of the
-//!   baseline collectives run ([`collectives`]) — used for correctness
-//!   cross-checks against the GASPI collectives;
+//! * a **single-source algorithm library** ([`twosided`] + [`variants`]):
+//!   every baseline algorithm is one body written against the
+//!   [`twosided::TwoSided`] trait and executed both on a small threaded
+//!   two-sided runtime ([`comm`], blocking send/receive with tag matching)
+//!   and as a recorded simulator schedule.  That covers eleven of the twelve
+//!   allreduce variants ([`MpiAllreduceVariant`]), the binomial bcast and
+//!   reduce, and the extra candidates the `ec_bench` tuner auto-selects
+//!   from (Rabenseifner, ring reduce-scatter+allgather, Bruck and pairwise
+//!   AlltoAll, van de Geijn and pipelined-binomial Bcast,
+//!   reduce-scatter+gather Reduce);
 //! * **schedule generators** ([`schedule`]) that express every baseline
 //!   algorithm as an `ec-netsim` program with two-sided semantics
 //!   (eager/rendezvous protocol, progress-engine bandwidth penalty,
 //!   per-message matching overhead), which is what the figure-regeneration
-//!   benches simulate;
-//! * a **single-source variant library** ([`twosided`] + [`variants`]):
-//!   the classic vendor algorithm variants (Rabenseifner allreduce, ring
-//!   reduce-scatter+allgather, Bruck and pairwise AlltoAll, van de Geijn and
-//!   pipelined-binomial Bcast, reduce-scatter+gather Reduce) written once
-//!   against the [`twosided::TwoSided`] trait and executed both on the
-//!   threaded runtime and as recorded simulator schedules — the candidate
-//!   pool the `ec_bench` tuner auto-selects from.
+//!   benches simulate.  Most record a [`variants`] body; the four models
+//!   still priced by hand are listed in [`schedule`];
+//! * **independent threaded references** ([`collectives`]) written directly
+//!   on [`comm`], the oracles the single-source bodies and the GASPI
+//!   collectives are cross-checked against.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -40,7 +43,6 @@ pub use schedule::allreduce::MpiAllreduceVariant;
 pub use schedule::alltoall::mpi_alltoall_pairwise_schedule;
 pub use schedule::bcast::{mpi_bcast_binomial_schedule, mpi_bcast_default_schedule};
 pub use schedule::reduce::{mpi_reduce_binomial_schedule, mpi_reduce_default_schedule};
-pub use schedule::source::{BinomialBcastSource, PairwiseAlltoallSource};
 pub use twosided::{RecordingTwoSided, ThreadedTwoSided, TwoSided};
 pub use variants::{
     allreduce_rabenseifner, allreduce_reduce_scatter_allgather, alltoall_bruck, bcast_pipelined_binomial,

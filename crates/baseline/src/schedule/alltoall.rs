@@ -5,6 +5,10 @@ use ec_netsim::{Program, ProgramBuilder};
 /// Pairwise-exchange `MPI_Alltoall`: `P - 1` rounds, in round `k` every rank
 /// sends its block to `(rank + k) % P` and receives from `(rank - k) % P`
 /// (Figure 13's `mpi` curves).
+///
+/// Hand-priced rather than a recording of
+/// [`crate::variants::pairwise_alltoall`]: it omits the local self-block
+/// copy that body (the tuner's `ss-pairwise`) prices, and both are pinned.
 pub fn mpi_alltoall_pairwise_schedule(ranks: usize, block_bytes: u64) -> Program {
     let mut b = ProgramBuilder::new(ranks);
     if ranks <= 1 {
@@ -26,6 +30,7 @@ pub fn mpi_alltoall_pairwise_schedule(ranks: usize, block_bytes: u64) -> Program
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ec_collectives::schedule::alltoall_direct_schedule;
     use ec_netsim::{validate, ClusterSpec, CostModel, Engine};
 
     #[test]
@@ -53,27 +58,9 @@ mod tests {
         // algorithm because every round waits for the received block.
         let p = 16;
         let block = 32 * 1024;
-        let mpi = Engine::new(ClusterSpec::homogeneous(4, 4), CostModel::galileo_opa())
-            .makespan(&mpi_alltoall_pairwise_schedule(p, block))
-            .unwrap();
-        let gaspi = Engine::new(ClusterSpec::homogeneous(4, 4), CostModel::galileo_opa())
-            .makespan(&ec_collectives_alltoall(p, block))
-            .unwrap();
+        let e = Engine::new(ClusterSpec::homogeneous(4, 4), CostModel::galileo_opa());
+        let mpi = e.makespan(&mpi_alltoall_pairwise_schedule(p, block)).unwrap();
+        let gaspi = e.makespan(&alltoall_direct_schedule(p, block)).unwrap();
         assert!(mpi > gaspi, "pairwise MPI ({mpi}) must be slower than the direct GASPI alltoall ({gaspi})");
-    }
-
-    // Local re-implementation of the GASPI direct schedule to avoid a cyclic
-    // dev-dependency on ec-collectives.
-    fn ec_collectives_alltoall(ranks: usize, block_bytes: u64) -> Program {
-        let mut b = ProgramBuilder::new(ranks);
-        for rank in 0..ranks {
-            for offset in 1..ranks {
-                let peer = (rank + offset) % ranks;
-                b.put_notify(rank, peer, block_bytes, rank as u32);
-            }
-            let expected: Vec<u32> = (0..ranks).filter(|&r| r != rank).map(|r| r as u32).collect();
-            b.wait_notify(rank, &expected);
-        }
-        b.build()
     }
 }

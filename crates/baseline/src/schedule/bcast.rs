@@ -3,29 +3,19 @@
 
 use ec_netsim::{Program, ProgramBuilder};
 
-use super::trees::binomial;
+use super::trees::{binomial, subtree_size};
+use crate::twosided::record;
+use crate::variants::binomial_bcast;
 
 /// Message size (bytes) above which the default broadcast switches from the
 /// binomial tree to the scatter + ring-allgather (van de Geijn) algorithm,
 /// mirroring what vendor libraries do for large payloads.
 const LARGE_BCAST_THRESHOLD: u64 = 64 * 1024;
 
-/// Binomial-tree `MPI_Bcast` (the `mpi-bin` curve of Figure 8).
+/// Binomial-tree `MPI_Bcast` (the `mpi-bin` curve of Figure 8): the
+/// [`binomial_bcast`] body recorded over byte-granular elements.
 pub fn mpi_bcast_binomial_schedule(ranks: usize, total_bytes: u64) -> Program {
-    let mut b = ProgramBuilder::new(ranks);
-    if ranks <= 1 {
-        return b.build();
-    }
-    for rank in 0..ranks {
-        let (parent, children) = binomial(rank, ranks);
-        if let Some(parent) = parent {
-            b.recv(rank, parent, total_bytes, 0);
-        }
-        for child in children {
-            b.send(rank, child, total_bytes, 0);
-        }
-    }
-    b.build()
+    record(ranks, 1, |t| binomial_bcast(t, total_bytes as usize, 0))
 }
 
 /// Size-adaptive "default" `MPI_Bcast` (the `mpi-def` curve of Figure 8):
@@ -39,6 +29,11 @@ pub fn mpi_bcast_default_schedule(ranks: usize, total_bytes: u64) -> Program {
 
 /// Van de Geijn broadcast: binomial scatter of 1/P chunks from the root,
 /// followed by a ring allgather.
+///
+/// Hand-priced rather than recorded: it scatters down the binomial tree's
+/// non-contiguous subtrees, where the single-source
+/// [`crate::variants::scatter_allgather_bcast`] walks a contiguous halving
+/// tree, so a recording would move the `mpi-def` cells of Figure 8.
 fn scatter_allgather_bcast(ranks: usize, total_bytes: u64) -> Program {
     let mut b = ProgramBuilder::new(ranks);
     let chunk = (total_bytes / ranks as u64).max(1);
@@ -67,18 +62,6 @@ fn scatter_allgather_bcast(ranks: usize, total_bytes: u64) -> Program {
         b.wait_all_sends(rank);
     }
     b.build()
-}
-
-/// Number of ranks in the binomial subtree rooted at `rank`.
-pub(crate) fn subtree_size(rank: usize, ranks: usize) -> usize {
-    let (_, children) = binomial(rank, ranks);
-    1 + children.into_iter().map(|c| subtree_size(c, ranks)).sum::<usize>()
-}
-
-/// Bytes carried by the binomial subtree rooted at `rank` when every rank
-/// contributes `piece` bytes (used by gather-style schedules).
-pub(crate) fn subtree_bytes(rank: usize, ranks: usize, piece: u64) -> u64 {
-    subtree_size(rank, ranks) as u64 * piece
 }
 
 #[cfg(test)]

@@ -1,23 +1,30 @@
 //! Cost-model schedules of the MPI-like baseline collectives.
 //!
-//! Each generator emits an `ec-netsim` program using **two-sided** operations
-//! (`Send`/`Isend`/`Recv`), so the simulator charges them the matching
-//! overheads, the progress-engine bandwidth penalty and — for large messages
-//! — the rendezvous handshake that the one-sided GASPI schedules avoid.
-//! This is what the `mpi*` curves of Figures 8–13 are generated from.
+//! Every generator emits an `ec-netsim` program using **two-sided**
+//! operations (`Send`/`Isend`/`Recv`), so the simulator charges them the
+//! matching overheads, the progress-engine bandwidth penalty and — for large
+//! messages — the rendezvous handshake that the one-sided GASPI schedules
+//! avoid.  This is what the `mpi*` curves of Figures 8–13 are generated
+//! from.
+//!
+//! Most generators record a [`crate::variants`] body, the same code the
+//! threaded runtime executes: eleven of the twelve allreduce variants and
+//! the binomial bcast and reduce.  Four models are still priced by hand,
+//! each for a reason given on it: `mpi2` Rabenseifner
+//! ([`MpiAllreduceVariant::Rabenseifner`]), the large-message paths of
+//! [`mpi_bcast_default_schedule`] and [`mpi_reduce_default_schedule`], and
+//! [`mpi_alltoall_pairwise_schedule`].
 
 pub mod allreduce;
 pub mod alltoall;
 pub mod bcast;
 pub mod reduce;
-pub mod source;
 pub mod trees;
 
 pub use allreduce::MpiAllreduceVariant;
 pub use alltoall::mpi_alltoall_pairwise_schedule;
 pub use bcast::{mpi_bcast_binomial_schedule, mpi_bcast_default_schedule};
 pub use reduce::{mpi_reduce_binomial_schedule, mpi_reduce_default_schedule};
-pub use source::{BinomialBcastSource, PairwiseAlltoallSource};
 
 #[cfg(test)]
 mod tests {

@@ -2,31 +2,19 @@
 
 use ec_netsim::{Program, ProgramBuilder};
 
-use super::trees::binomial;
+use super::trees::{binomial, subtree_size};
+use crate::twosided::record;
+use crate::variants::binomial_reduce;
 
 /// Message size (bytes) above which the default reduce switches from the
 /// binomial tree to Rabenseifner's reduce-scatter + gather algorithm.
 const LARGE_REDUCE_THRESHOLD: u64 = 64 * 1024;
 
-/// Binomial-tree `MPI_Reduce` towards rank 0 (the `mpi-bin` curve of Figure 9).
+/// Binomial-tree `MPI_Reduce` towards rank 0 (the `mpi-bin` curve of
+/// Figure 9): the [`binomial_reduce`] body recorded over byte-granular
+/// elements.
 pub fn mpi_reduce_binomial_schedule(ranks: usize, total_bytes: u64) -> Program {
-    let mut b = ProgramBuilder::new(ranks);
-    if ranks <= 1 {
-        return b.build();
-    }
-    for rank in 0..ranks {
-        let (parent, children) = binomial(rank, ranks);
-        // Children deeper in the tree finish first; a parent receives and
-        // reduces one contribution per child.
-        for child in children.iter().rev() {
-            b.recv(rank, *child, total_bytes, 0);
-            b.reduce(rank, total_bytes);
-        }
-        if let Some(parent) = parent {
-            b.send(rank, parent, total_bytes, 0);
-        }
-    }
-    b.build()
+    record(ranks, 1, |t| binomial_reduce(t, total_bytes as usize, 0))
 }
 
 /// Size-adaptive "default" `MPI_Reduce` (the `mpi-def` curve of Figure 9):
@@ -41,6 +29,11 @@ pub fn mpi_reduce_default_schedule(ranks: usize, total_bytes: u64) -> Program {
 
 /// Rabenseifner's reduce: recursive-halving reduce-scatter, then a binomial
 /// gather of the scattered pieces to the root.
+///
+/// Hand-priced rather than recorded: it gathers up the binomial tree's
+/// non-contiguous subtrees, where the single-source
+/// [`crate::variants::reduce_scatter_gather_reduce`] unwinds the halving,
+/// so a recording would move the `mpi-def` cells of Figures 9–10.
 fn rabenseifner_reduce(ranks: usize, total_bytes: u64) -> Program {
     let mut b = ProgramBuilder::new(ranks);
     let d = ranks.trailing_zeros();
@@ -64,11 +57,11 @@ fn rabenseifner_reduce(ranks: usize, total_bytes: u64) -> Program {
         let piece = (total_bytes / ranks as u64).max(1);
         for child in children {
             // A child forwards its own piece plus its subtree's pieces.
-            let subtree = super::bcast::subtree_bytes(child, ranks, piece);
+            let subtree = subtree_size(child, ranks) as u64 * piece;
             b.recv(rank, child, subtree, 50);
         }
         if let Some(parent) = parent {
-            let subtree = super::bcast::subtree_bytes(rank, ranks, piece);
+            let subtree = subtree_size(rank, ranks) as u64 * piece;
             b.send(rank, parent, subtree, 50);
         }
     }

@@ -1,7 +1,14 @@
-//! Tree shapes shared by the baseline schedule generators.
+//! Tree shapes shared by the baseline collective bodies and the remaining
+//! hand-priced schedule generators.
+//!
+//! Every shape maps `(rank, ranks)` to the [`Tree`] position of `rank` in a
+//! spanning tree rooted at rank 0.
+
+/// Parent and children of a rank in a spanning tree rooted at rank 0.
+pub type Tree = (Option<usize>, Vec<usize>);
 
 /// Parent and children of `rank` in a binomial tree rooted at 0.
-pub fn binomial(rank: usize, ranks: usize) -> (Option<usize>, Vec<usize>) {
+pub fn binomial(rank: usize, ranks: usize) -> Tree {
     if ranks <= 1 {
         return (None, Vec::new());
     }
@@ -22,9 +29,15 @@ pub fn binomial(rank: usize, ranks: usize) -> (Option<usize>, Vec<usize>) {
     (parent, children)
 }
 
+/// Number of ranks in the binomial subtree rooted at `rank`.
+pub(crate) fn subtree_size(rank: usize, ranks: usize) -> usize {
+    let (_, children) = binomial(rank, ranks);
+    1 + children.into_iter().map(|c| subtree_size(c, ranks)).sum::<usize>()
+}
+
 /// Parent and children of `rank` in a k-nomial tree of the given `radix`
 /// rooted at 0 (radix 2 degenerates to the binomial tree).
-pub fn knomial(rank: usize, ranks: usize, radix: usize) -> (Option<usize>, Vec<usize>) {
+pub fn knomial(rank: usize, ranks: usize, radix: usize) -> Tree {
     assert!(radix >= 2);
     if ranks <= 1 {
         return (None, Vec::new());
@@ -64,20 +77,19 @@ pub fn knomial(rank: usize, ranks: usize, radix: usize) -> (Option<usize>, Vec<u
     while place < ranks {
         for d in 1..radix {
             let child = rank + d * place;
-            if child < ranks && (rank != 0 || place >= 1) {
+            if child < ranks {
                 children.push(child);
             }
         }
         place *= radix;
     }
-    children.retain(|&c| c < ranks);
     children.sort_unstable();
     (parent, children)
 }
 
 /// Parent and children of `rank` in a complete k-ary tree (every internal
 /// node has up to `arity` children) rooted at 0, laid out level by level.
-pub fn knary(rank: usize, ranks: usize, arity: usize) -> (Option<usize>, Vec<usize>) {
+pub fn knary(rank: usize, ranks: usize, arity: usize) -> Tree {
     assert!(arity >= 1);
     let parent = if rank == 0 { None } else { Some((rank - 1) / arity) };
     let first_child = rank * arity + 1;
@@ -87,7 +99,7 @@ pub fn knary(rank: usize, ranks: usize, arity: usize) -> (Option<usize>, Vec<usi
 
 /// Parent and children of `rank` in a flat tree: rank 0 is the root, every
 /// other rank is a direct child.
-pub fn flat(rank: usize, ranks: usize) -> (Option<usize>, Vec<usize>) {
+pub fn flat(rank: usize, ranks: usize) -> Tree {
     if rank == 0 {
         (None, (1..ranks).collect())
     } else {
@@ -100,7 +112,7 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
 
-    fn check_tree(ranks: usize, f: impl Fn(usize, usize) -> (Option<usize>, Vec<usize>)) {
+    fn check_tree(ranks: usize, f: impl Fn(usize, usize) -> Tree) {
         // Every non-root rank has exactly one parent, parent/children agree,
         // and every rank is reachable from the root.
         for r in 0..ranks {

@@ -5,8 +5,8 @@
 //! This module gives the **MPI-like baselines** the same treatment: the
 //! [`TwoSided`] trait captures the two-sided vocabulary (blocking and
 //! non-blocking sends, receives that land in or fold into a working buffer,
-//! local staging copies), and every *new* baseline algorithm variant in
-//! [`crate::variants`] is a single body generic over it.
+//! local staging copies and folds, barriers), and every baseline algorithm
+//! in [`crate::variants`] is a single body generic over it.
 //!
 //! * [`ThreadedTwoSided`] runs the body on the real [`crate::comm`] runtime,
 //!   moving `f64` payloads between rank threads — the correctness oracle;
@@ -54,7 +54,9 @@ pub trait TwoSided {
     fn send(&mut self, dst: usize, tag: Tag, elems: Range<usize>) -> Result<()>;
 
     /// Non-blocking send of `elems` to `dst`; completion is awaited by
-    /// [`TwoSided::wait_all_sends`].
+    /// [`TwoSided::wait_all_sends`].  The payload is captured at the call
+    /// (buffered-send semantics), so the body may fold into `elems` before
+    /// the send completes.
     fn isend(&mut self, dst: usize, tag: Tag, elems: Range<usize>) -> Result<()>;
 
     /// Wait until all outstanding non-blocking sends of this rank completed.
@@ -69,6 +71,14 @@ pub trait TwoSided {
     /// Copy `src` to the range starting at `dst` within the working buffer
     /// (pack/unpack staging; ranges may overlap).
     fn local_copy(&mut self, dst: usize, src: Range<usize>) -> Result<()>;
+
+    /// Fold the staged vectors in `src` (consecutive blocks of `dst.len()`
+    /// elements, not overlapping `dst`) element-wise into `dst`, priced as
+    /// one reduction over all of `src`.
+    fn reduce_local(&mut self, dst: Range<usize>, src: Range<usize>) -> Result<()>;
+
+    /// Block until every rank of the world has reached the barrier.
+    fn barrier(&mut self) -> Result<()>;
 }
 
 /// [`TwoSided`] backend over the threaded [`crate::comm`] runtime: real
@@ -146,6 +156,20 @@ impl TwoSided for ThreadedTwoSided<'_, '_> {
         }
         self.buf.copy_within(src, dst);
         Ok(())
+    }
+
+    fn reduce_local(&mut self, dst: Range<usize>, src: Range<usize>) -> Result<()> {
+        if src.is_empty() || dst.is_empty() {
+            return Ok(());
+        }
+        for (i, j) in src.enumerate() {
+            self.buf[dst.start + i % dst.len()] += self.buf[j];
+        }
+        Ok(())
+    }
+
+    fn barrier(&mut self) -> Result<()> {
+        self.comm.barrier()
     }
 }
 
@@ -236,6 +260,19 @@ impl TwoSided for RecordingTwoSided {
             let bytes = self.bytes(&src);
             self.builder.copy(self.rank, bytes);
         }
+        Ok(())
+    }
+
+    fn reduce_local(&mut self, dst: Range<usize>, src: Range<usize>) -> Result<()> {
+        if !src.is_empty() && !dst.is_empty() {
+            let bytes = self.bytes(&src);
+            self.builder.reduce(self.rank, bytes);
+        }
+        Ok(())
+    }
+
+    fn barrier(&mut self) -> Result<()> {
+        self.builder.barrier(self.rank);
         Ok(())
     }
 }
@@ -336,6 +373,25 @@ mod tests {
             }
         });
         assert_eq!(out[1], Some(MpiError::LengthMismatch { expected: 2, got: 4 }));
+    }
+
+    #[test]
+    fn local_reductions_fold_every_staged_block_and_are_priced_once() {
+        let out = MpiWorld::new(1).run(|comm| {
+            let mut buf = vec![1.0, 2.0, 10.0, 20.0, 100.0, 200.0];
+            ThreadedTwoSided::new(comm, &mut buf).reduce_local(0..2, 2..6).unwrap();
+            buf
+        });
+        assert_eq!(out[0][..2], [111.0, 222.0]);
+        let prog = record(1, 8, |t| t.reduce_local(0..2, 2..6));
+        assert_eq!(prog.ranks[0].ops, vec![Op::Reduce { bytes: 32 }]);
+    }
+
+    #[test]
+    fn barriers_record_one_op_per_rank() {
+        let prog = record(3, 8, TwoSided::barrier);
+        validate(&prog, 3).unwrap();
+        assert!(prog.ranks.iter().all(|r| r.ops == [Op::Barrier]));
     }
 
     #[test]

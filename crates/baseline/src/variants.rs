@@ -1,17 +1,24 @@
 //! Single-source baseline algorithm variants: each algorithm below is **one
 //! body** generic over [`TwoSided`], executed both by the threaded
 //! correctness oracle ([`ThreadedTwoSided`]) and by the schedule recorder
-//! ([`RecordingTwoSided`]) — closing the gap between the five hand-written
-//! threaded baselines and the twelve-variant vendor frontier the paper's
-//! Figures 11–13 compare against.
+//! ([`RecordingTwoSided`]).  The same bodies carry the twelve-variant vendor
+//! frontier the paper's Figures 11–13 compare against and the extra
+//! candidates the `ec_bench` tuner prices.
 //!
 //! Variants provided (paper-figure nomenclature in parentheses):
 //!
-//! * **Allreduce** — [`rabenseifner_allreduce`] (recursive-halving
-//!   reduce-scatter + recursive-doubling allgather, `mpi2`, with fold-in /
-//!   fold-out pre/post phases for non-power-of-two rank counts) and
+//! * **Allreduce** — [`recursive_doubling_allreduce`] (`mpi1`),
+//!   [`rabenseifner_allreduce`] (recursive-halving reduce-scatter +
+//!   recursive-doubling allgather, the tuner's `ss-rabenseifner`),
+//!   [`tree_allreduce`] (reduce + broadcast over a [`crate::schedule::trees`]
+//!   shape: `mpi3`, `mpi9` and the leader phase of `mpi10`–`mpi12`),
+//!   [`gather_allreduce`] (binomial gather + root fold + broadcast, `mpi5`),
+//!   [`hierarchical_allreduce`] (intra-node reduce, leader allreduce,
+//!   intra-node broadcast: `mpi4`, `mpi6`, `mpi10`–`mpi12`) and
 //!   [`reduce_scatter_allgather_allreduce`] (chunked ring reduce-scatter +
-//!   allgather, native at any rank count, the structure of `mpi7`/`mpi8`);
+//!   allgather, native at any rank count: `mpi7`, `mpi8` with phase
+//!   barriers, and `ss-rsag`).  [`crate::MpiAllreduceVariant`] maps the
+//!   twelve legend entries onto these bodies;
 //! * **AlltoAll** — [`bruck_alltoall`] (log-round store-and-forward, the
 //!   classic small-message algorithm) and [`pairwise_alltoall`] (Figure 13's
 //!   `mpi` curves);
@@ -19,19 +26,21 @@
 //!   [`pipelined_binomial_bcast`] (segment-pipelined tree) and
 //!   [`binomial_bcast`] (`mpi-bin` of Figure 8);
 //! * **Reduce** — [`binomial_reduce`] (`mpi-bin` of Figure 9) and
-//!   [`reduce_scatter_gather_reduce`] (Rabenseifner's reduce, the `mpi-def`
-//!   large-message algorithm, with the same non-power-of-two fold).
+//!   [`reduce_scatter_gather_reduce`] (Rabenseifner's reduce with a
+//!   non-power-of-two fold).
 //!
-//! Every body has a `*_schedule` twin that records it into an
-//! `ec_netsim::Program`; the `ec_bench` tuner prices those schedules through
-//! both the alpha–beta model and the PR 4 network fabric to pick the best
+//! The `*_schedule` functions below, [`crate::MpiAllreduceVariant::schedule`]
+//! and the binomial `mpi_*_schedule` generators record these bodies into
+//! `ec_netsim` programs; the `ec_bench` tuner prices those schedules through
+//! both the alpha–beta model and the network fabric to pick the best
 //! variant per (rank count, message size, topology).
 //!
 //! ## Working-buffer layouts
 //!
 //! The rooted collectives and the allreduces operate directly on the payload
-//! (`n` elements at offset 0).  The alltoalls use staged layouts documented
-//! on the respective bodies.  Chunked algorithms split the payload with
+//! (`n` elements at offset 0); [`gather_allreduce`] stages the gathered
+//! vectors behind it.  The alltoalls use staged layouts documented on the
+//! respective bodies.  Chunked algorithms split the payload with
 //! `ec_collectives::topology::chunk_ranges`, the same helper the GASPI ring
 //! uses, so chunk boundaries agree across the whole suite.
 
@@ -40,8 +49,8 @@ use std::ops::Range;
 use ec_collectives::topology::chunk_ranges;
 use ec_netsim::Program;
 
-use crate::comm::{MpiComm, Result, Tag};
-use crate::schedule::trees::binomial;
+use crate::comm::{MpiComm, MpiError, Result, Tag};
+use crate::schedule::trees::{binomial, subtree_size, Tree};
 use crate::twosided::{record, RecordingTwoSided, ThreadedTwoSided, TwoSided};
 
 /// Default segment size (elements) of the pipelined binomial broadcast:
@@ -59,6 +68,10 @@ const TAG_GATHER: Tag = 200;
 const TAG_AG: Tag = 300;
 const TAG_RING: Tag = 400;
 const TAG_BRUCK: Tag = 500;
+const TAG_RD_FOLD_IN: Tag = 90;
+const TAG_RD_FOLD_OUT: Tag = 91;
+const TAG_NODE_REDUCE: Tag = 600;
+const TAG_NODE_BCAST: Tag = 601;
 
 /// Virtual rank of `rank` in a world rooted at `root`.
 fn vrank(rank: usize, root: usize, p: usize) -> usize {
@@ -88,14 +101,14 @@ fn chunk_span(chunks: &[(usize, usize)], lo: usize, hi: usize) -> Range<usize> {
 // broadcast bodies
 // ---------------------------------------------------------------------------
 
-/// Binomial-tree broadcast of `n` elements from `root` (payload at offset 0).
-pub fn binomial_bcast<T: TwoSided>(t: &mut T, n: usize, root: usize) -> Result<()> {
+/// Broadcast of `n` elements from `root` down the tree `shape` (payload at
+/// offset 0; the shape is laid over virtual ranks rooted at `root`).
+fn tree_bcast<T: TwoSided>(t: &mut T, n: usize, root: usize, shape: impl Fn(usize, usize) -> Tree) -> Result<()> {
     let p = t.num_ranks();
     if p <= 1 || n == 0 {
         return Ok(());
     }
-    let v = vrank(t.rank(), root, p);
-    let (parent, children) = binomial(v, p);
+    let (parent, children) = shape(vrank(t.rank(), root, p), p);
     if let Some(pv) = parent {
         t.recv_copy(real(pv, root, p), TAG_TREE, 0..n)?;
     }
@@ -103,6 +116,11 @@ pub fn binomial_bcast<T: TwoSided>(t: &mut T, n: usize, root: usize) -> Result<(
         t.send(real(c, root, p), TAG_TREE, 0..n)?;
     }
     Ok(())
+}
+
+/// Binomial-tree broadcast of `n` elements from `root` (payload at offset 0).
+pub fn binomial_bcast<T: TwoSided>(t: &mut T, n: usize, root: usize) -> Result<()> {
+    tree_bcast(t, n, root, binomial)
 }
 
 /// Segment-pipelined binomial broadcast: the payload is cut into
@@ -180,15 +198,14 @@ pub fn scatter_allgather_bcast<T: TwoSided>(t: &mut T, n: usize, root: usize) ->
 // reduce bodies
 // ---------------------------------------------------------------------------
 
-/// Binomial-tree reduction (sum) of `n` elements towards `root`; the result
-/// accumulates in the root's working buffer.
-pub fn binomial_reduce<T: TwoSided>(t: &mut T, n: usize, root: usize) -> Result<()> {
+/// Reduction (sum) of `n` elements towards `root` up the tree `shape`; the
+/// result accumulates in the root's working buffer.
+fn tree_reduce<T: TwoSided>(t: &mut T, n: usize, root: usize, shape: impl Fn(usize, usize) -> Tree) -> Result<()> {
     let p = t.num_ranks();
     if p <= 1 || n == 0 {
         return Ok(());
     }
-    let v = vrank(t.rank(), root, p);
-    let (parent, children) = binomial(v, p);
+    let (parent, children) = shape(vrank(t.rank(), root, p), p);
     // Deeper children finish first: fold them in largest-offset-first,
     // mirroring the reference implementation in `crate::collectives`.
     for c in children.iter().rev() {
@@ -198,6 +215,12 @@ pub fn binomial_reduce<T: TwoSided>(t: &mut T, n: usize, root: usize) -> Result<
         t.send(real(pv, root, p), TAG_TREE, 0..n)?;
     }
     Ok(())
+}
+
+/// Binomial-tree reduction (sum) of `n` elements towards `root`; the result
+/// accumulates in the root's working buffer.
+pub fn binomial_reduce<T: TwoSided>(t: &mut T, n: usize, root: usize) -> Result<()> {
+    tree_reduce(t, n, root, binomial)
 }
 
 /// Rabenseifner's reduce: recursive-halving reduce-scatter over the largest
@@ -318,11 +341,162 @@ pub fn rabenseifner_allreduce<T: TwoSided>(t: &mut T, n: usize) -> Result<()> {
     Ok(())
 }
 
+/// Recursive-doubling allreduce (`mpi1`): `log2(P2)` full-vector exchanges
+/// over the largest power-of-two sub-world `P2`.  The surplus ranks fold
+/// their contribution into `rank - P2` first (fold-in) and receive the
+/// result afterwards (fold-out).
+pub fn recursive_doubling_allreduce<T: TwoSided>(t: &mut T, n: usize) -> Result<()> {
+    let p = t.num_ranks();
+    let rank = t.rank();
+    let p2 = prev_power_of_two(p);
+    let extras = p - p2;
+    if rank >= p2 {
+        t.send(rank - p2, TAG_RD_FOLD_IN, 0..n)?;
+        return t.recv_copy(rank - p2, TAG_RD_FOLD_OUT, 0..n);
+    }
+    if rank < extras {
+        t.recv_reduce(rank + p2, TAG_RD_FOLD_IN, 0..n)?;
+    }
+    let mut distance = 1usize;
+    let mut round: Tag = 0;
+    while distance < p2 {
+        let partner = rank ^ distance;
+        t.isend(partner, round, 0..n)?;
+        t.recv_reduce(partner, round, 0..n)?;
+        distance <<= 1;
+        round += 1;
+    }
+    t.wait_all_sends()?;
+    if rank < extras {
+        t.send(rank + p2, TAG_RD_FOLD_OUT, 0..n)?;
+    }
+    Ok(())
+}
+
+/// Reduce to rank 0 up the tree `shape`, then broadcast the result back
+/// down the same tree (`mpi3` binomial, `mpi9` 4-nomial, and the leader
+/// phase of `mpi10`–`mpi12`).
+pub fn tree_allreduce<T: TwoSided>(t: &mut T, n: usize, shape: impl Fn(usize, usize) -> Tree) -> Result<()> {
+    tree_reduce(t, n, 0, &shape)?;
+    tree_bcast(t, n, 0, &shape)
+}
+
+/// Binomial gather + broadcast allreduce (`mpi5`): every rank's whole
+/// vector travels up the binomial tree (messages grow with the subtree),
+/// the root folds the `P - 1` gathered vectors at once and broadcasts the
+/// sum back down.
+///
+/// Working buffer: the payload at `0..n`, followed by room for the
+/// gathered vectors of the rank's binomial subtree (`P * n` elements in all
+/// at the root).
+pub fn gather_allreduce<T: TwoSided>(t: &mut T, n: usize) -> Result<()> {
+    let p = t.num_ranks();
+    if p <= 1 || n == 0 {
+        return Ok(());
+    }
+    let rank = t.rank();
+    let (parent, children) = binomial(rank, p);
+    let mut staged = n;
+    for c in children.iter().rev() {
+        let len = subtree_size(*c, p) * n;
+        t.recv_copy(*c, TAG_GATHER, staged..staged + len)?;
+        staged += len;
+    }
+    match parent {
+        Some(parent) => t.send(parent, TAG_GATHER, 0..staged)?,
+        None => t.reduce_local(0..n, n..staged)?,
+    }
+    binomial_bcast(t, n, 0)
+}
+
+/// The node leaders of a hierarchical collective as a world of their own:
+/// leader `i` is real rank `i * stride`, so a flat body runs on them
+/// unchanged.
+pub struct Leaders<'a, T> {
+    world: &'a mut T,
+    stride: usize,
+}
+
+impl<T: TwoSided> TwoSided for Leaders<'_, T> {
+    fn rank(&self) -> usize {
+        self.world.rank() / self.stride
+    }
+
+    fn num_ranks(&self) -> usize {
+        self.world.num_ranks() / self.stride
+    }
+
+    fn send(&mut self, dst: usize, tag: Tag, elems: Range<usize>) -> Result<()> {
+        self.world.send(dst * self.stride, tag, elems)
+    }
+
+    fn isend(&mut self, dst: usize, tag: Tag, elems: Range<usize>) -> Result<()> {
+        self.world.isend(dst * self.stride, tag, elems)
+    }
+
+    fn wait_all_sends(&mut self) -> Result<()> {
+        self.world.wait_all_sends()
+    }
+
+    fn recv_copy(&mut self, src: usize, tag: Tag, elems: Range<usize>) -> Result<()> {
+        self.world.recv_copy(src * self.stride, tag, elems)
+    }
+
+    fn recv_reduce(&mut self, src: usize, tag: Tag, elems: Range<usize>) -> Result<()> {
+        self.world.recv_reduce(src * self.stride, tag, elems)
+    }
+
+    fn local_copy(&mut self, dst: usize, src: Range<usize>) -> Result<()> {
+        self.world.local_copy(dst, src)
+    }
+
+    fn reduce_local(&mut self, dst: Range<usize>, src: Range<usize>) -> Result<()> {
+        self.world.reduce_local(dst, src)
+    }
+
+    /// The ranks between the leaders are not in this world, so a barrier
+    /// over it cannot be expressed as the world's barrier.
+    fn barrier(&mut self) -> Result<()> {
+        Err(MpiError::Unsupported("a barrier among node leaders"))
+    }
+}
+
+/// Topology-aware allreduce (`mpi4`, `mpi6`, `mpi10`–`mpi12`): the ranks of
+/// each node fold into the node's first rank, the `leaders` body allreduces
+/// across those leaders, and each leader sends the result back to its
+/// node.  Runs `leaders` over every rank when there is one rank per node or
+/// the placement is irregular (`P` not a multiple of `ranks_per_node`).
+pub fn hierarchical_allreduce<T: TwoSided>(
+    t: &mut T,
+    n: usize,
+    ranks_per_node: usize,
+    leaders: impl FnOnce(&mut Leaders<'_, T>) -> Result<()>,
+) -> Result<()> {
+    let p = t.num_ranks();
+    let ppn = if ranks_per_node > 1 && p.is_multiple_of(ranks_per_node) { ranks_per_node } else { 1 };
+    let rank = t.rank();
+    let leader = rank - rank % ppn;
+    if rank != leader {
+        t.send(leader, TAG_NODE_REDUCE, 0..n)?;
+        return t.recv_copy(leader, TAG_NODE_BCAST, 0..n);
+    }
+    for local in leader + 1..leader + ppn {
+        t.recv_reduce(local, TAG_NODE_REDUCE, 0..n)?;
+    }
+    leaders(&mut Leaders { world: t, stride: ppn })?;
+    for local in leader + 1..leader + ppn {
+        t.send(local, TAG_NODE_BCAST, 0..n)?;
+    }
+    Ok(())
+}
+
 /// Chunked reduce-scatter + allgather allreduce over a ring — the
 /// bandwidth-optimal large-message algorithm, native at **any** rank count
 /// (no power-of-two fold needed): the payload is split into `P` chunks and
-/// each phase circulates them once around the ring.
-pub fn reduce_scatter_allgather_allreduce<T: TwoSided>(t: &mut T, n: usize) -> Result<()> {
+/// each phase circulates them once around the ring.  With `phase_barriers`
+/// every rank also enters a barrier after each phase (`mpi8`) — the global
+/// synchronization the paper's GASPI ring eliminates.
+pub fn reduce_scatter_allgather_allreduce<T: TwoSided>(t: &mut T, n: usize, phase_barriers: bool) -> Result<()> {
     let p = t.num_ranks();
     if p <= 1 || n == 0 {
         return Ok(());
@@ -340,6 +514,9 @@ pub fn reduce_scatter_allgather_allreduce<T: TwoSided>(t: &mut T, n: usize) -> R
         t.recv_reduce(prev, TAG_RS + step as Tag, r_start..r_start + r_len)?;
     }
     t.wait_all_sends()?;
+    if phase_barriers {
+        t.barrier()?;
+    }
     // Allgather: the reduced chunks travel once more around the ring,
     // overwriting the stale partial sums at their final offsets.
     for step in 0..p - 1 {
@@ -348,7 +525,11 @@ pub fn reduce_scatter_allgather_allreduce<T: TwoSided>(t: &mut T, n: usize) -> R
         t.isend(next, TAG_AG + step as Tag, s_start..s_start + s_len)?;
         t.recv_copy(prev, TAG_AG + step as Tag, r_start..r_start + r_len)?;
     }
-    t.wait_all_sends()
+    t.wait_all_sends()?;
+    if phase_barriers {
+        t.barrier()?;
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -435,7 +616,7 @@ pub fn allreduce_rabenseifner(comm: &mut MpiComm, data: &mut [f64]) -> Result<()
 /// native at non-power-of-two rank counts.
 pub fn allreduce_reduce_scatter_allgather(comm: &mut MpiComm, data: &mut [f64]) -> Result<()> {
     let n = data.len();
-    reduce_scatter_allgather_allreduce(&mut ThreadedTwoSided::new(comm, data), n)
+    reduce_scatter_allgather_allreduce(&mut ThreadedTwoSided::new(comm, data), n, false)
 }
 
 /// Van de Geijn scatter + allgather broadcast on the threaded runtime.
@@ -470,39 +651,12 @@ pub fn alltoall_bruck(comm: &mut MpiComm, send: &[f64], block: usize) -> Result<
     Ok(buf[4 * p * block..].to_vec())
 }
 
-/// Pairwise-exchange AlltoAll through the single-source body (the reference
-/// [`crate::collectives::alltoall_pairwise`] is the hand-written oracle it
-/// is cross-checked against).
-pub fn alltoall_pairwise_ss(comm: &mut MpiComm, send: &[f64], block: usize) -> Result<Vec<f64>> {
-    let p = comm.size();
-    assert_eq!(send.len(), p * block, "send buffer must hold one block per rank");
-    let mut buf = vec![0.0; 2 * p * block];
-    buf[..p * block].copy_from_slice(send);
-    pairwise_alltoall(&mut ThreadedTwoSided::new(comm, &mut buf), block)?;
-    Ok(buf[p * block..].to_vec())
-}
-
-/// Binomial broadcast through the single-source body.
-pub fn bcast_binomial_ss(comm: &mut MpiComm, data: &mut [f64], root: usize) -> Result<()> {
-    let n = data.len();
-    binomial_bcast(&mut ThreadedTwoSided::new(comm, data), n, root)
-}
-
-/// Binomial reduce through the single-source body.  Returns the reduced
-/// vector on the root, `None` elsewhere.
-pub fn reduce_binomial_ss(comm: &mut MpiComm, contribution: &[f64], root: usize) -> Result<Option<Vec<f64>>> {
-    let n = contribution.len();
-    let mut buf = contribution.to_vec();
-    binomial_reduce(&mut ThreadedTwoSided::new(comm, &mut buf), n, root)?;
-    Ok(if comm.rank() == root { Some(buf) } else { None })
-}
-
 // ---------------------------------------------------------------------------
 // schedule generators (the same bodies, recorded)
 // ---------------------------------------------------------------------------
 
 /// Record `body` over byte-granular elements (1 byte per element), the
-/// convention of the hand-written baseline schedule generators.
+/// convention of every baseline schedule generator.
 fn record_bytes(ranks: usize, body: impl FnMut(&mut RecordingTwoSided) -> Result<()>) -> Program {
     record(ranks, 1, body)
 }
@@ -515,7 +669,7 @@ pub fn rabenseifner_allreduce_schedule(ranks: usize, total_bytes: u64) -> Progra
 
 /// Schedule of [`reduce_scatter_allgather_allreduce`].
 pub fn rsag_allreduce_schedule(ranks: usize, total_bytes: u64) -> Program {
-    record_bytes(ranks, |t| reduce_scatter_allgather_allreduce(t, total_bytes as usize))
+    record_bytes(ranks, |t| reduce_scatter_allgather_allreduce(t, total_bytes as usize, false))
 }
 
 /// Schedule of [`bruck_alltoall`] with `block_bytes`-byte blocks.
@@ -539,16 +693,6 @@ pub fn pipelined_binomial_bcast_schedule(ranks: usize, total_bytes: u64, segment
     record_bytes(ranks, |t| pipelined_binomial_bcast(t, total_bytes as usize, 0, segment_bytes.max(1) as usize))
 }
 
-/// Schedule of [`binomial_bcast`] from rank 0.
-pub fn binomial_bcast_schedule(ranks: usize, total_bytes: u64) -> Program {
-    record_bytes(ranks, |t| binomial_bcast(t, total_bytes as usize, 0))
-}
-
-/// Schedule of [`binomial_reduce`] towards rank 0.
-pub fn binomial_reduce_schedule(ranks: usize, total_bytes: u64) -> Program {
-    record_bytes(ranks, |t| binomial_reduce(t, total_bytes as usize, 0))
-}
-
 /// Schedule of [`reduce_scatter_gather_reduce`] towards rank 0.
 pub fn rsg_reduce_schedule(ranks: usize, total_bytes: u64) -> Program {
     record_bytes(ranks, |t| reduce_scatter_gather_reduce(t, total_bytes as usize, 0))
@@ -559,6 +703,7 @@ mod tests {
     use super::*;
     use crate::collectives::{allreduce_ring, alltoall_pairwise, reduce_binomial};
     use crate::comm::MpiWorld;
+    use crate::schedule::{mpi_bcast_binomial_schedule, mpi_reduce_binomial_schedule};
     use ec_netsim::{validate, ClusterSpec, CostModel, Engine};
 
     fn input(rank: usize, n: usize) -> Vec<f64> {
@@ -567,6 +712,33 @@ mod tests {
 
     fn expected_sum(p: usize, n: usize) -> Vec<f64> {
         (0..n).map(|i| (0..p).map(|r| input(r, n)[i]).sum()).collect()
+    }
+
+    /// Pairwise-exchange AlltoAll through the single-source body (the reference
+    /// [`crate::collectives::alltoall_pairwise`] is the hand-written oracle it
+    /// is cross-checked against).
+    fn alltoall_pairwise_ss(comm: &mut MpiComm, send: &[f64], block: usize) -> Result<Vec<f64>> {
+        let p = comm.size();
+        assert_eq!(send.len(), p * block, "send buffer must hold one block per rank");
+        let mut buf = vec![0.0; 2 * p * block];
+        buf[..p * block].copy_from_slice(send);
+        pairwise_alltoall(&mut ThreadedTwoSided::new(comm, &mut buf), block)?;
+        Ok(buf[p * block..].to_vec())
+    }
+
+    /// Binomial broadcast through the single-source body.
+    fn bcast_binomial_ss(comm: &mut MpiComm, data: &mut [f64], root: usize) -> Result<()> {
+        let n = data.len();
+        binomial_bcast(&mut ThreadedTwoSided::new(comm, data), n, root)
+    }
+
+    /// Binomial reduce through the single-source body.  Returns the reduced
+    /// vector on the root, `None` elsewhere.
+    fn reduce_binomial_ss(comm: &mut MpiComm, contribution: &[f64], root: usize) -> Result<Option<Vec<f64>>> {
+        let n = contribution.len();
+        let mut buf = contribution.to_vec();
+        binomial_reduce(&mut ThreadedTwoSided::new(comm, &mut buf), n, root)?;
+        Ok(if comm.rank() == root { Some(buf) } else { None })
     }
 
     #[test]
@@ -690,8 +862,8 @@ mod tests {
                 pairwise_alltoall_schedule(p, 4096),
                 scatter_allgather_bcast_schedule(p, bytes),
                 pipelined_binomial_bcast_schedule(p, bytes, 16 * 1024),
-                binomial_bcast_schedule(p, bytes),
-                binomial_reduce_schedule(p, bytes),
+                mpi_bcast_binomial_schedule(p, bytes),
+                mpi_reduce_binomial_schedule(p, bytes),
                 rsg_reduce_schedule(p, bytes),
             ];
             let alpha_beta = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::skylake_fdr());
@@ -739,7 +911,7 @@ mod tests {
         let p = 16;
         let bytes = 8_000_000;
         let e = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::skylake_fdr());
-        let plain = e.makespan(&binomial_bcast_schedule(p, bytes)).unwrap();
+        let plain = e.makespan(&mpi_bcast_binomial_schedule(p, bytes)).unwrap();
         let pipelined = e.makespan(&pipelined_binomial_bcast_schedule(p, bytes, 64 * 1024)).unwrap();
         let scatter = e.makespan(&scatter_allgather_bcast_schedule(p, bytes)).unwrap();
         // The van de Geijn algorithm is the large-message winner (2(P-1)/P
@@ -757,7 +929,7 @@ mod tests {
         let p = 32;
         let bytes = 8_000_000;
         let e = Engine::new(ClusterSpec::homogeneous(p, 1), CostModel::skylake_fdr());
-        let tree = e.makespan(&binomial_reduce_schedule(p, bytes)).unwrap();
+        let tree = e.makespan(&mpi_reduce_binomial_schedule(p, bytes)).unwrap();
         let rsg = e.makespan(&rsg_reduce_schedule(p, bytes)).unwrap();
         assert!(rsg < tree, "reduce-scatter+gather ({rsg}) must beat the binomial tree ({tree}) at 8 MB");
     }

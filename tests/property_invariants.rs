@@ -2,7 +2,9 @@
 //! mathematically correct results for arbitrary inputs, and the cost model
 //! must respond monotonically to workload parameters.
 
-use ec_collectives_suite::baseline::{MpiAllreduceVariant, MpiWorld};
+use ec_collectives_suite::baseline::{
+    mpi_bcast_binomial_schedule, mpi_reduce_binomial_schedule, MpiAllreduceVariant, MpiWorld,
+};
 use ec_collectives_suite::collectives::schedule::{
     alltoall_direct_schedule, bcast_bst_schedule, reduce_bst_schedule, ring_allreduce_schedule,
 };
@@ -435,8 +437,8 @@ proptest! {
             variants::pairwise_alltoall_schedule(p, block_bytes),
             variants::scatter_allgather_bcast_schedule(p, bytes),
             variants::pipelined_binomial_bcast_schedule(p, bytes, 56),
-            variants::binomial_bcast_schedule(p, bytes),
-            variants::binomial_reduce_schedule(p, bytes),
+            mpi_bcast_binomial_schedule(p, bytes),
+            mpi_reduce_binomial_schedule(p, bytes),
             variants::rsg_reduce_schedule(p, bytes),
         ];
         for prog in schedules {

@@ -10,10 +10,14 @@
 
 use std::fmt::Write as _;
 
+use ec_baseline::variants::{
+    bruck_alltoall_schedule, pairwise_alltoall_schedule, pipelined_binomial_bcast_schedule,
+    rabenseifner_allreduce_schedule, rsag_allreduce_schedule, rsg_reduce_schedule, scatter_allgather_bcast_schedule,
+    PIPELINE_SEGMENT_ELEMS,
+};
 use ec_baseline::{
     mpi_alltoall_pairwise_schedule, mpi_bcast_binomial_schedule, mpi_bcast_default_schedule,
-    mpi_reduce_binomial_schedule, mpi_reduce_default_schedule, BinomialBcastSource, MpiAllreduceVariant,
-    PairwiseAlltoallSource,
+    mpi_reduce_binomial_schedule, mpi_reduce_default_schedule, MpiAllreduceVariant,
 };
 use ec_collectives::schedule::{
     alltoall_direct_schedule, bcast_bst_schedule, hypercube_allreduce_schedule, reduce_bst_schedule,
@@ -112,14 +116,21 @@ pub(crate) fn lint_schedules() -> (String, bool) {
                 format!("ec_baseline::mpi_alltoall_pairwise_schedule(p={p}, block={bytes})"),
                 &mpi_alltoall_pairwise_schedule(p, bytes),
             ));
-            outcomes.push(Outcome {
-                label: format!("ec_baseline::BinomialBcastSource(p={p}, bytes={bytes})"),
-                report: analyze_source(&BinomialBcastSource::new(p, bytes)),
-            });
-            outcomes.push(Outcome {
-                label: format!("ec_baseline::PairwiseAlltoallSource(p={p}, block={bytes})"),
-                report: analyze_source(&PairwiseAlltoallSource::new(p, bytes)),
-            });
+            // The recorded schedules of the single-source variant library
+            // (the tuner prices the allreduce and alltoall ones).
+            let segment_bytes = PIPELINE_SEGMENT_ELEMS as u64 * 8;
+            let library: [(&str, Program); 7] = [
+                ("rabenseifner_allreduce_schedule", rabenseifner_allreduce_schedule(p, bytes)),
+                ("rsag_allreduce_schedule", rsag_allreduce_schedule(p, bytes)),
+                ("bruck_alltoall_schedule", bruck_alltoall_schedule(p, bytes)),
+                ("pairwise_alltoall_schedule", pairwise_alltoall_schedule(p, bytes)),
+                ("scatter_allgather_bcast_schedule", scatter_allgather_bcast_schedule(p, bytes)),
+                ("pipelined_binomial_bcast_schedule", pipelined_binomial_bcast_schedule(p, bytes, segment_bytes)),
+                ("rsg_reduce_schedule", rsg_reduce_schedule(p, bytes)),
+            ];
+            for (name, program) in &library {
+                outcomes.push(analyzed(format!("ec_baseline::variants::{name}(p={p}, bytes={bytes})"), program));
+            }
 
             for variant in MpiAllreduceVariant::all() {
                 for ppn in [1usize, 4] {
